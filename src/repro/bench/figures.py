@@ -17,7 +17,6 @@ from ..core.system import CosmicSystem, platform_for
 from ..hw.spec import XILINX_VU9P
 from ..ml.benchmarks import BENCHMARKS, Benchmark, benchmark
 from ..perf.parallel import default_executor
-from ..perf.tasks import sweep_task, task_call
 from ..planner import Planner
 from .results import ExperimentResult, geomean
 
@@ -32,16 +31,11 @@ def _benches(names: Optional[Iterable[str]] = None) -> List[Benchmark]:
 
 
 def _per_bench(names: Optional[Iterable[str]], point_fn, *args) -> List:
-    """Evaluate the registered ``point_fn`` for every benchmark, fanned
-    out over the default sweep executor; results keep benchmark order, so
-    parallel and serial runs build identical tables. Sweep items are
-    benchmark *names* and ``point_fn`` a module-level sweep task, so the
-    fan-out also works under a process-pool executor — and, with
-    ``REPRO_SWEEP_MODE=queue``, across ``python -m repro worker``
-    processes on any number of hosts (each worker imports this module
-    to resolve the task and caches its own artifacts)."""
+    """Evaluate ``point_fn(bench, *args)`` for every benchmark, fanned out
+    over the default sweep executor; results keep benchmark order, so
+    parallel and serial runs build identical tables."""
     return default_executor().map(
-        task_call(point_fn, *args), [b.name for b in _benches(names)]
+        lambda b: point_fn(b, *args), _benches(names)
     )
 
 
@@ -155,9 +149,7 @@ def table3() -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-@sweep_task("figures.epoch_grid")
-def _epoch_point(name: str, nodes: Tuple[int, ...]):
-    b = benchmark(name)
+def _epoch_point(b: Benchmark, nodes: Sequence[int]):
     spark_b = {n: SparkModel(n).epoch_seconds(b) for n in nodes}
     system = _system(b, "fpga", nodes[0])
     cosmic_b = {n: system.epoch_seconds(nodes=n) for n in nodes}
@@ -169,9 +161,7 @@ def _epoch_grid(
 ) -> Tuple[Dict[str, Dict[int, float]], Dict[str, Dict[int, float]]]:
     spark: Dict[str, Dict[int, float]] = {}
     cosmic: Dict[str, Dict[int, float]] = {}
-    for name, spark_b, cosmic_b in _per_bench(
-        names, _epoch_point, tuple(nodes)
-    ):
+    for name, spark_b, cosmic_b in _per_bench(names, _epoch_point, nodes):
         spark[name] = spark_b
         cosmic[name] = cosmic_b
     return spark, cosmic
@@ -261,9 +251,7 @@ def figure8(
 # ---------------------------------------------------------------------------
 
 
-@sweep_task("figures.figure9")
-def _figure9_point(name: str, nodes: int):
-    b = benchmark(name)
+def _figure9_point(b: Benchmark, nodes: int):
     epochs = {
         kind: _system(b, kind, nodes).epoch_seconds()
         for kind in PLATFORMS
@@ -297,9 +285,7 @@ def figure9(
     return result
 
 
-@sweep_task("figures.figure10")
-def _figure10_point(name: str, samples: int):
-    b = benchmark(name)
+def _figure10_point(b: Benchmark, samples: int):
     # Computation-only: each chip streams from its own off-chip memory at
     # full rate (no host/PCIe ceiling — that belongs to the system-level
     # Figure 9).
@@ -342,9 +328,7 @@ def figure10(
     return result
 
 
-@sweep_task("figures.figure11")
-def _figure11_point(name: str, nodes: int):
-    b = benchmark(name)
+def _figure11_point(b: Benchmark, nodes: int):
     perf_per_watt = {}
     for kind in PLATFORMS:
         system = _system(b, kind, nodes)
@@ -385,9 +369,7 @@ def figure11(
 # ---------------------------------------------------------------------------
 
 
-@sweep_task("figures.figure12")
-def _figure12_point(name: str, minibatches: Tuple[int, ...], nodes: int):
-    b = benchmark(name)
+def _figure12_point(b: Benchmark, minibatches: Sequence[int], nodes: int):
     spark = SparkModel(nodes)
     base = spark.epoch_seconds(b, 10_000)
     system = _system(b, "fpga", nodes)
@@ -413,7 +395,7 @@ def figure12(
         + [f"cosmic_b{b}" for b in minibatches],
         paper={"geomean_gap_b500": 16.8, "geomean_gap_b100000": 9.1},
     )
-    for row in _per_bench(names, _figure12_point, tuple(minibatches), nodes):
+    for row in _per_bench(names, _figure12_point, minibatches, nodes):
         result.add_row(**row)
     for mb in (minibatches[0], minibatches[-1]):
         gaps = [
@@ -424,9 +406,7 @@ def figure12(
     return result
 
 
-@sweep_task("figures.figure13")
-def _figure13_point(name: str, minibatches: Tuple[int, ...], nodes: int):
-    b = benchmark(name)
+def _figure13_point(b: Benchmark, minibatches: Sequence[int], nodes: int):
     system = _system(b, "fpga", nodes)
     row = {"name": b.name}
     for mb in minibatches:
@@ -447,7 +427,7 @@ def figure13(
         ["name"] + [f"compute_frac_b{b}" for b in minibatches],
         paper={"mean_frac_b500": 0.12, "mean_frac_b100000": 0.95},
     )
-    for row in _per_bench(names, _figure13_point, tuple(minibatches), nodes):
+    for row in _per_bench(names, _figure13_point, minibatches, nodes):
         result.add_row(**row)
     for mb in (minibatches[0], minibatches[-1]):
         col = result.column(f"compute_frac_b{mb}")
@@ -455,9 +435,7 @@ def figure13(
     return result
 
 
-@sweep_task("figures.figure14")
-def _figure14_point(name: str, nodes: int):
-    b = benchmark(name)
+def _figure14_point(b: Benchmark, nodes: int):
     spark = SparkModel(nodes).iteration(b, 10_000 * nodes)
     timing = _system(b, "fpga", nodes).iteration(10_000)
     fpga_x = spark.compute_s / timing.compute_s
@@ -492,11 +470,9 @@ def figure14(
 # ---------------------------------------------------------------------------
 
 
-@sweep_task("figures.figure15")
 def _figure15_point(
-    name: str, pe_counts: Tuple[int, ...], bandwidth_x: Tuple[float, ...]
+    b: Benchmark, pe_counts: Sequence[int], bandwidth_x: Sequence[float]
 ):
-    b = benchmark(name)
     dfg = b.translate().dfg
     row = {"name": b.name}
     base = None
@@ -535,9 +511,7 @@ def figure15(
         + [f"pe{p}" for p in pe_counts]
         + [f"bw{x}x" for x in bandwidth_x],
     )
-    for row in _per_bench(
-        names, _figure15_point, tuple(pe_counts), tuple(bandwidth_x)
-    ):
+    for row in _per_bench(names, _figure15_point, pe_counts, bandwidth_x):
         result.add_row(**row)
     compute_bound = ("mnist", "acoustic", "movielens", "netflix")
     scale_col = f"pe{pe_counts[-1]}"
@@ -556,9 +530,7 @@ def figure15(
     return result
 
 
-@sweep_task("figures.figure16")
-def _figure16_point(name: str):
-    b = benchmark(name)
+def _figure16_point(b: Benchmark):
     planner = Planner(XILINX_VU9P, executor=default_executor())
     sweep = planner.sweep(b.translate().dfg, 10_000, b.density)
     base = sweep["T1xR1"].seconds_for(10_000)
@@ -596,9 +568,7 @@ def figure16(
 # ---------------------------------------------------------------------------
 
 
-@sweep_task("figures.figure17")
-def _figure17_point(name: str):
-    b = benchmark(name)
+def _figure17_point(b: Benchmark):
     return {
         "name": b.name,
         "speedup": cosmic_vs_tabla_speedup(

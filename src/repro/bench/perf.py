@@ -23,11 +23,6 @@ study — a quorum fraction x deadline grid on a 16-node straggler cluster
 — on both the event-driven and the format-2 quorum-replay paths, asserts
 every :class:`IterationTiming` is bit-identical between them, and
 records the replay speedup.
-
-A fourth, on-demand leg (:func:`measure_queue_sweep`, CLI
-``--queue-smoke``) regenerates the same figures through the queue-backed
-distributed executor with local worker processes and asserts the rows
-stay bit-identical to serial — the distribution-correctness gate.
 """
 
 from __future__ import annotations
@@ -352,114 +347,6 @@ def run_replay_smoke(
             "replay-on run recorded no cluster-schedule traces; the "
             "replayer never engaged"
         )
-    return problems
-
-
-def measure_queue_sweep(
-    workers: int = 2,
-    names: Optional[Sequence[str]] = QUICK_BENCHES,
-) -> Dict[str, object]:
-    """The queue-mode measurement leg: Figure 7 + Figure 16 through a
-    coordinator with ``workers`` local worker processes, compared
-    against the serial reference for bit-identity.
-
-    Returns a payload with both wall times, the identity verdict, and
-    the coordinator's end-of-sweep worker stats. Raises
-    :class:`AssertionError` on row divergence — distribution must never
-    change results.
-    """
-    from ..perf.cache import get_cache
-    from ..perf.distributed import QueueCoordinator
-    from ..perf.parallel import SweepExecutor, set_default_executor
-
-    from . import figures
-
-    def regenerate():
-        return [figures.figure7(names), figures.figure16()]
-
-    cache = get_cache()
-    previous = set_default_executor(SweepExecutor("serial"))
-    coordinator = QueueCoordinator(lease_s=60.0)
-    try:
-        cache.clear()
-        start = time.perf_counter()
-        reference = regenerate()
-        serial_s = time.perf_counter() - start
-
-        coordinator.start()
-        coordinator.spawn_local_workers(workers)
-        set_default_executor(
-            SweepExecutor("queue", coordinator=coordinator)
-        )
-        cache.clear()
-        start = time.perf_counter()
-        queued = regenerate()
-        queue_s = time.perf_counter() - start
-    finally:
-        set_default_executor(previous)
-        coordinator.shutdown()
-
-    if _result_payload(queued) != _result_payload(reference):
-        raise AssertionError(
-            "queue-distributed rows diverge from serial regeneration"
-        )
-    summary = coordinator.last_summary
-    worker_stats = {}
-    requeued = 0
-    if summary is not None:
-        requeued = summary.requeued
-        for w in summary.workers:
-            worker_stats[w.worker_id] = {
-                "completed": w.completed,
-                "failed": w.failed,
-                "busy_s": round(w.busy_s, 3),
-            }
-    return {
-        "serial_s": round(serial_s, 6),
-        "queue_s": round(queue_s, 6),
-        "workers": workers,
-        "requeued": requeued,
-        "worker_stats": worker_stats,
-        "rows_identical": True,
-    }
-
-
-def run_queue_smoke(workers: int = 2) -> List[str]:
-    """CI probe: queue-distributed sweeps must be bit-identical to
-    serial ones. Launches a coordinator plus ``workers`` local worker
-    processes, regenerates Figure 7 + Figure 16 both ways, and reports
-    problems (empty list = pass). Prints the timing and per-worker
-    stats so the job log shows the distribution actually engaged.
-    """
-    problems: List[str] = []
-    try:
-        payload = measure_queue_sweep(workers=workers)
-    except AssertionError as exc:
-        return [str(exc)]
-    except Exception as exc:  # worker spawn/connect failures
-        return [f"queue sweep failed to run: {exc}"]
-    print(
-        f"  serial      {payload['serial_s']:.3f}s\n"
-        f"  queue       {payload['queue_s']:.3f}s "
-        f"({payload['workers']} workers, {payload['requeued']} requeued)"
-    )
-    for wid, stats in sorted(payload["worker_stats"].items()):
-        print(
-            f"    {wid:30s} done={stats['completed']:4d} "
-            f"failed={stats['failed']:2d} busy={stats['busy_s']:.2f}s"
-        )
-    active = [
-        wid
-        for wid, stats in payload["worker_stats"].items()
-        if stats["completed"]
-    ]
-    if len(active) < min(2, workers):
-        problems.append(
-            f"only {len(active)} worker(s) completed tasks; expected at "
-            f"least {min(2, workers)} of {workers} to participate"
-        )
-    if not payload["rows_identical"]:
-        problems.append("queue-mode rows are not identical to serial")
     return problems
 
 

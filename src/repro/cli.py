@@ -15,12 +15,7 @@ Commands:
 * ``perf [--quick] [--update-baseline]`` — time the toolchain stages and
   a cached/parallel figure regeneration, and gate against the committed
   ``BENCH_perf.json`` baseline. ``--replay-smoke`` runs only the
-  schedule-replay identity probe (Figure 7 rows with replay off vs on);
-  ``--queue-smoke`` regenerates Figure 7 + Figure 16 through a queue
-  coordinator with local workers and asserts bit-identity with serial.
-* ``worker --connect HOST:PORT [--authkey-file F]`` — join a queue-mode
-  sweep as a worker process, serving tasks until the coordinator shuts
-  down (the distributed counterpart of ``REPRO_SWEEP_MODE=queue``).
+  schedule-replay identity probe (Figure 7 rows with replay off vs on).
 * ``cache stats|prune`` — inspect or evict the on-disk artifact cache.
 """
 
@@ -29,6 +24,30 @@ from __future__ import annotations
 import argparse
 import sys
 from typing import List, Optional
+
+
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``, so a bad
+    count exits 2 with a usage message instead of failing mid-run."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,20 +70,20 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument(
         "--chip", default="fpga", choices=["fpga", "pasic-f", "pasic-g"]
     )
-    plan.add_argument("--minibatch", type=int, default=10_000)
+    plan.add_argument("--minibatch", type=_positive_int, default=10_000)
 
     rtl = sub.add_parser("rtl", help="emit generated RTL for one thread")
     rtl.add_argument("benchmark")
     rtl.add_argument("--target", default="fpga", choices=["fpga", "pasic"])
-    rtl.add_argument("--rows", type=int, default=2)
-    rtl.add_argument("--columns", type=int, default=4)
+    rtl.add_argument("--rows", type=_positive_int, default=2)
+    rtl.add_argument("--columns", type=_positive_int, default=4)
 
     train = sub.add_parser("train", help="train the scaled benchmark")
     train.add_argument("benchmark")
-    train.add_argument("--nodes", type=int, default=4)
-    train.add_argument("--threads", type=int, default=2)
-    train.add_argument("--epochs", type=int, default=5)
-    train.add_argument("--samples", type=int, default=2048)
+    train.add_argument("--nodes", type=_positive_int, default=4)
+    train.add_argument("--threads", type=_positive_int, default=2)
+    train.add_argument("--epochs", type=_positive_int, default=5)
+    train.add_argument("--samples", type=_positive_int, default=2048)
     train.add_argument("--seed", type=int, default=0)
 
     from .runtime.recovery import SCENARIOS
@@ -76,13 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--scenario", default="master-crash", choices=list(SCENARIOS)
     )
-    chaos.add_argument("--nodes", type=int, default=8)
-    chaos.add_argument("--groups", type=int, default=2)
-    chaos.add_argument("--threads", type=int, default=1)
-    chaos.add_argument("--epochs", type=int, default=2)
-    chaos.add_argument("--samples", type=int, default=1024)
+    chaos.add_argument("--nodes", type=_positive_int, default=8)
+    chaos.add_argument("--groups", type=_positive_int, default=2)
+    chaos.add_argument("--threads", type=_positive_int, default=1)
+    chaos.add_argument("--epochs", type=_positive_int, default=2)
+    chaos.add_argument("--samples", type=_positive_int, default=1024)
     chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--checkpoint-every", type=int, default=4)
+    chaos.add_argument("--checkpoint-every", type=_positive_int, default=4)
 
     perf = sub.add_parser(
         "perf", help="time the toolchain and gate against BENCH_perf.json"
@@ -127,42 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="only assert Figure 7 rows identical with schedule replay "
         "off vs on (the CI replay gate)",
     )
-    perf.add_argument(
-        "--queue-smoke",
-        action="store_true",
-        help="only assert Figure 7 + Figure 16 rows identical between "
-        "serial and queue-distributed regeneration (the CI queue gate)",
-    )
-    perf.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="local worker processes the queue smoke spawns (default 2)",
-    )
-
-    worker = sub.add_parser(
-        "worker", help="serve sweep tasks from a queue coordinator"
-    )
-    worker.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="address of the coordinator (printed at its startup)",
-    )
-    worker.add_argument(
-        "--authkey-file",
-        default=None,
-        metavar="PATH",
-        help="file whose first line is the shared authkey (default: "
-        "REPRO_SWEEP_AUTHKEY / REPRO_SWEEP_AUTHKEY_FILE)",
-    )
-    worker.add_argument(
-        "--max-tasks",
-        type=int,
-        default=None,
-        help="exit after serving this many tasks (default: serve until "
-        "the coordinator shuts down)",
-    )
 
     cache = sub.add_parser(
         "cache", help="inspect or prune the artifact cache"
@@ -176,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache.add_argument(
         "--max-bytes",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help="prune: evict LRU entries until the disk tier fits this many "
         "bytes (default: REPRO_CACHE_MAX_BYTES)",
@@ -189,8 +172,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_cluster_args(parser: argparse.ArgumentParser, args) -> None:
+    """Reject cluster shapes the trainer cannot run: every worker needs a
+    sample, and every group a node."""
+    if args.command not in ("train", "chaos"):
+        return
+    workers = args.nodes * args.threads
+    if args.samples < workers:
+        parser.error(
+            f"--samples {args.samples} is fewer than the {workers} "
+            "workers (--nodes x --threads)"
+        )
+    if args.command == "chaos" and args.groups > args.nodes:
+        parser.error(
+            f"--groups {args.groups} is more than --nodes {args.nodes}"
+        )
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _check_cluster_args(parser, args)
     command = args.command
     if command == "benchmarks":
         return _cmd_benchmarks()
@@ -208,8 +210,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_chaos(args)
     if command == "perf":
         return _cmd_perf(args)
-    if command == "worker":
-        return _cmd_worker(args)
     if command == "cache":
         return _cmd_cache(args)
     return 2  # pragma: no cover - argparse enforces the choices
@@ -460,19 +460,6 @@ def _cmd_perf(args) -> int:
               "schedule replay off vs on")
         return 0
 
-    if args.queue_smoke:
-        from .bench.perf import run_queue_smoke
-
-        problems = run_queue_smoke(workers=args.workers)
-        if problems:
-            print("QUEUE SMOKE FAILED:")
-            for problem in problems:
-                print(f"  - {problem}")
-            return 1
-        print("queue smoke passed: Figure 7 + Figure 16 rows identical "
-              f"between serial and {args.workers}-worker queue sweeps")
-        return 0
-
     report = run_perf(names=args.benches, quick=args.quick)
     print(render_report(report))
 
@@ -500,28 +487,6 @@ def _cmd_perf(args) -> int:
         return 1
     print(f"\nwithin {args.tolerance:g}x of baseline {baseline_path}")
     return 0
-
-
-def _cmd_worker(args) -> int:
-    import os
-
-    from .perf import env as perf_env
-    from .perf.distributed import run_worker
-
-    try:
-        host, port = perf_env.parse_address(args.connect, "--connect")
-        if args.authkey_file:
-            authkey = perf_env.read_authkey_file(args.authkey_file)
-        else:
-            authkey = perf_env.sweep_authkey()
-    except perf_env.EnvError as exc:
-        print(f"worker: {exc}", file=sys.stderr)
-        return 2
-    # A worker must never itself coordinate a queue sweep: tasks that
-    # fan out internally (the Planner's DSE) use this process's default
-    # executor, which we pin to the single-machine auto mode.
-    os.environ["REPRO_SWEEP_MODE"] = "auto"
-    return run_worker(host, port, authkey, max_tasks=args.max_tasks)
 
 
 def _cmd_cache(args) -> int:

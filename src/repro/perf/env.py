@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 #: Sweep executor modes, in the order the docs list them. ``parallel``
-#: re-exports this as ``MODES``; the queue mode is served by
-#: :mod:`repro.perf.distributed`.
-SWEEP_MODES = ("auto", "serial", "thread", "process", "queue")
+#: re-exports this as ``MODES``.
+SWEEP_MODES = ("auto", "serial", "thread")
 
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off", "")
@@ -69,23 +68,6 @@ def env_int(
     return value
 
 
-def env_float(
-    name: str,
-    default: Optional[float] = None,
-    minimum: Optional[float] = None,
-) -> Optional[float]:
-    raw = env_string(name)
-    if raw is None:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise EnvError(f"{name}={raw!r} is not a number") from None
-    if minimum is not None and value < minimum:
-        raise EnvError(f"{name}={value} must be >= {minimum}")
-    return value
-
-
 def env_flag(name: str, default: bool) -> bool:
     """Boolean flags accept 1/0, true/false, yes/no, on/off."""
     raw = os.environ.get(name)
@@ -102,24 +84,6 @@ def env_flag(name: str, default: bool) -> bool:
     )
 
 
-def parse_address(value: str, name: str = "address") -> Tuple[str, int]:
-    """``HOST:PORT`` -> ``(host, port)`` with a validated port."""
-    host, sep, port_s = value.rpartition(":")
-    if not sep or not host:
-        raise EnvError(
-            f"{name}={value!r} is not HOST:PORT (e.g. 127.0.0.1:8765)"
-        )
-    try:
-        port = int(port_s)
-    except ValueError:
-        raise EnvError(
-            f"{name}={value!r} has a non-integer port {port_s!r}"
-        ) from None
-    if not 0 <= port <= 65535:
-        raise EnvError(f"{name}={value!r} port must be in [0, 65535]")
-    return host, port
-
-
 # ---------------------------------------------------------------------------
 # Sweep executor knobs
 # ---------------------------------------------------------------------------
@@ -128,77 +92,6 @@ def parse_address(value: str, name: str = "address") -> Tuple[str, int]:
 def sweep_mode() -> str:
     """``REPRO_SWEEP_MODE`` — executor mode the default executor uses."""
     return env_choice("REPRO_SWEEP_MODE", "auto", SWEEP_MODES)
-
-
-def sweep_jobs() -> Optional[int]:
-    """``REPRO_SWEEP_JOBS`` — worker count for the default executor."""
-    return env_int("REPRO_SWEEP_JOBS", None, minimum=1)
-
-
-def sweep_address() -> Tuple[str, int]:
-    """``REPRO_SWEEP_ADDR`` — where the queue coordinator serves.
-
-    Defaults to ``127.0.0.1:0`` (loopback, ephemeral port — the
-    coordinator prints the bound address at startup). Bind a routable
-    interface, e.g. ``0.0.0.0:8765``, to accept workers from other
-    hosts.
-    """
-    raw = env_string("REPRO_SWEEP_ADDR", "127.0.0.1:0")
-    return parse_address(raw, "REPRO_SWEEP_ADDR")
-
-
-def sweep_authkey() -> bytes:
-    """Shared secret for the queue coordinator's manager connection.
-
-    ``REPRO_SWEEP_AUTHKEY_FILE`` (first line of the file, stripped)
-    wins over ``REPRO_SWEEP_AUTHKEY``; with neither set a well-known
-    default is used, which is only acceptable on a trusted loopback —
-    set a real key for multi-host sweeps.
-    """
-    path = env_string("REPRO_SWEEP_AUTHKEY_FILE")
-    if path:
-        return read_authkey_file(path)
-    value = env_string("REPRO_SWEEP_AUTHKEY")
-    if value:
-        return value.encode()
-    return b"cosmic-sweep"
-
-
-def read_authkey_file(path: str) -> bytes:
-    """First line of ``path`` as the authkey, whitespace-stripped."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise EnvError(f"cannot read authkey file {path!r}: {exc}") from None
-    key = raw.splitlines()[0].strip() if raw else b""
-    if not key:
-        raise EnvError(f"authkey file {path!r} is empty")
-    return key
-
-
-def sweep_lease_s() -> float:
-    """``REPRO_SWEEP_LEASE_S`` — seconds a claimed task may run before
-    the coordinator re-enqueues it for another worker."""
-    return env_float("REPRO_SWEEP_LEASE_S", 30.0, minimum=0.1)
-
-
-def sweep_timeout_s() -> Optional[float]:
-    """``REPRO_SWEEP_TIMEOUT_S`` — overall deadline for one queue sweep
-    (unset means wait indefinitely for workers)."""
-    return env_float("REPRO_SWEEP_TIMEOUT_S", None, minimum=0.1)
-
-
-def sweep_local_workers() -> int:
-    """``REPRO_SWEEP_LOCAL_WORKERS`` — worker processes the queue
-    coordinator spawns on its own host at startup (0 = none; workers
-    then come only from ``python -m repro worker --connect``)."""
-    return env_int("REPRO_SWEEP_LOCAL_WORKERS", 0, minimum=0)
-
-
-def sweep_summary() -> bool:
-    """``REPRO_SWEEP_SUMMARY`` — print per-worker stats to stderr after
-    each queue sweep (default on; stdout stays bit-identical)."""
-    return env_flag("REPRO_SWEEP_SUMMARY", True)
 
 
 # ---------------------------------------------------------------------------

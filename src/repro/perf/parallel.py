@@ -3,36 +3,30 @@
 The experiment harness (Figures 7/8/9/12/15/16) and the Planner's
 design-space exploration are embarrassingly parallel: every sweep point is
 an independent pure computation. :class:`SweepExecutor` fans those points
-out over a ``concurrent.futures`` pool while keeping the *results* in
-input order, so parallel and serial runs produce bit-identical output —
-the property the perf harness asserts.
+out over a thread pool while keeping the *results* in input order, so
+parallel and serial runs produce bit-identical output — the property the
+golden ``results_full.txt`` test asserts.
 
 Modes:
 
 * ``"serial"`` — a plain list comprehension; the reference path.
-* ``"thread"`` — ``ThreadPoolExecutor``. The sweep workloads release the
-  GIL inside NumPy and, more importantly, share the process-wide
-  :mod:`repro.perf.cache`, so one worker's translation/plan is every
-  worker's hit.
-* ``"process"`` — ``ProcessPoolExecutor`` for callables that are
-  picklable at module scope (the figure closures are not; the perf CLI
-  uses threads by default).
-* ``"queue"`` — the distributed mode: tasks are served from a
-  :class:`repro.perf.distributed.QueueCoordinator` to workers started
-  with ``python -m repro worker --connect HOST:PORT`` on any host.
+* ``"thread"`` — ``ThreadPoolExecutor`` with ``min(points, CPUs)``
+  workers. The sweep workloads release the GIL inside NumPy and, more
+  importantly, share the process-wide :mod:`repro.perf.cache`, so one
+  worker's translation/plan is every worker's hit.
 * ``"auto"`` — threads when the machine has more than one CPU, else
   serial.
 
-The default mode comes from ``REPRO_SWEEP_MODE`` (and worker count from
-``REPRO_SWEEP_JOBS``) so CI and the perf harness can steer sweeps without
-threading arguments through every figure function. Both are parsed —
-with validation — by :mod:`repro.perf.env`, lazily on first use.
+The default mode comes from ``REPRO_SWEEP_MODE`` so CI and the perf
+harness can steer sweeps without threading arguments through every figure
+function. It is parsed — with validation — by :mod:`repro.perf.env`,
+lazily on first use.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
 from . import env
@@ -46,20 +40,11 @@ MODES = env.SWEEP_MODES
 class SweepExecutor:
     """Order-preserving map over independent sweep points."""
 
-    def __init__(
-        self,
-        mode: str = "auto",
-        max_workers: Optional[int] = None,
-        coordinator=None,
-    ):
+    def __init__(self, mode: str = "auto", max_workers: Optional[int] = None):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
         self.mode = mode
         self.max_workers = max_workers
-        #: Queue mode only: the coordinator serving this executor's
-        #: sweeps; ``None`` uses the process-wide default
-        #: (:func:`repro.perf.distributed.default_coordinator`).
-        self.coordinator = coordinator
 
     def resolved_mode(self) -> str:
         """The concrete mode ``"auto"`` selects on this machine."""
@@ -74,26 +59,11 @@ class SweepExecutor:
         pool drains), exactly as the serial path would raise it.
         """
         points: Sequence[T] = list(items)
-        mode = self.resolved_mode()
-        if mode == "serial" or len(points) <= 1:
+        if self.resolved_mode() == "serial" or len(points) <= 1:
             return [fn(p) for p in points]
-        if mode == "queue":
-            from .distributed import default_coordinator
-
-            coordinator = self.coordinator or default_coordinator()
-            return coordinator.map(fn, points)
         workers = self.max_workers or min(len(points), os.cpu_count() or 1)
-        pool_cls = (
-            ThreadPoolExecutor if mode == "thread" else ProcessPoolExecutor
-        )
-        with pool_cls(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, points))
-
-    def starmap(
-        self, fn: Callable[..., R], items: Iterable[tuple]
-    ) -> List[R]:
-        """:meth:`map` for argument tuples."""
-        return self.map(lambda args: fn(*args), items)
 
 
 _DEFAULT: Optional[SweepExecutor] = None
@@ -102,16 +72,14 @@ _DEFAULT: Optional[SweepExecutor] = None
 def default_executor() -> SweepExecutor:
     """The executor the figure harness and Planner use by default.
 
-    Built lazily on first call from ``REPRO_SWEEP_MODE`` /
-    ``REPRO_SWEEP_JOBS`` (validated — a bad value raises
-    :class:`repro.perf.env.EnvError` here rather than crashing inside a
-    sweep), then cached until :func:`set_default_executor` replaces it.
+    Built lazily on first call from ``REPRO_SWEEP_MODE`` (validated — a
+    bad value raises :class:`repro.perf.env.EnvError` here rather than
+    crashing inside a sweep), then cached until
+    :func:`set_default_executor` replaces it.
     """
     global _DEFAULT
     if _DEFAULT is None:
-        _DEFAULT = SweepExecutor(
-            mode=env.sweep_mode(), max_workers=env.sweep_jobs()
-        )
+        _DEFAULT = SweepExecutor(mode=env.sweep_mode())
     return _DEFAULT
 
 

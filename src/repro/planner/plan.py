@@ -17,7 +17,6 @@ from typing import Dict, List, Mapping, Optional
 
 from ..dfg import ir
 from ..hw.spec import ChipSpec
-from ..perf.tasks import sweep_task, task_call
 from .estimator import (
     CostParams,
     ThreadEstimate,
@@ -381,43 +380,16 @@ class Planner:
         stream_words: Optional[float],
         points: Optional[List[DesignPoint]] = None,
     ) -> List[AcceleratorPlan]:
-        """All design points, in enumeration order, optionally parallel.
-
-        The evaluation is a registered sweep task bound via
-        :func:`~repro.perf.tasks.task_call`, so the fan-out pickles into
-        process-pool and queue-mode workers (chips, cost params, and
-        DFGs all pickle) as well as running in threads or serially.
-        """
+        """All design points, in enumeration order, optionally parallel."""
         if points is None:
             points = self.design_space(dfg, minibatch)
-        call = task_call(
-            _evaluate_design_point,
-            self._chip,
-            self._params,
-            dfg,
-            minibatch,
-            dict(density) if density is not None else None,
-            stream_words,
-        )
+
+        def evaluate(point: DesignPoint) -> AcceleratorPlan:
+            return self.evaluate(dfg, point, minibatch, density, stream_words)
+
         if self._executor is None:
-            return [call(p) for p in points]
-        return self._executor.map(call, points)
-
-
-@sweep_task("planner.evaluate")
-def _evaluate_design_point(
-    point: DesignPoint,
-    chip: ChipSpec,
-    params: CostParams,
-    dfg: ir.Dfg,
-    minibatch: int,
-    density: Optional[Dict[str, float]],
-    stream_words: Optional[float],
-) -> AcceleratorPlan:
-    """Module-level DSE evaluation: picklable for process/queue sweeps."""
-    return Planner(chip, params).evaluate(
-        dfg, point, minibatch, density, stream_words
-    )
+            return [evaluate(p) for p in points]
+        return self._executor.map(evaluate, points)
 
 
 def _better(a: AcceleratorPlan, b: AcceleratorPlan, minibatch: int) -> bool:

@@ -40,6 +40,11 @@ class TestSweepExecutor:
         with pytest.raises(ValueError):
             SweepExecutor("fibers")
 
+    @pytest.mark.parametrize("mode", ["process", "queue"])
+    def test_removed_modes_rejected(self, mode):
+        with pytest.raises(ValueError, match="unknown mode"):
+            SweepExecutor(mode)
+
     def test_auto_resolves_by_cpu_count(self):
         expected = "thread" if (os.cpu_count() or 1) > 1 else "serial"
         assert SweepExecutor("auto").resolved_mode() == expected
@@ -52,10 +57,6 @@ class TestSweepExecutor:
 
         with pytest.raises(RuntimeError, match="point 3"):
             SweepExecutor("thread", max_workers=2).map(boom, range(6))
-
-    def test_starmap(self):
-        ex = SweepExecutor("serial")
-        assert ex.starmap(lambda a, b: a + b, [(1, 2), (3, 4)]) == [3, 7]
 
 
 class TestDefaultExecutor:

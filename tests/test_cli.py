@@ -118,33 +118,30 @@ class TestChaosCommand:
         assert "invalid choice" in capsys.readouterr().err
 
 
-class TestWorkerCommand:
-    def test_malformed_connect_rejected(self, capsys):
-        assert main(["worker", "--connect", "no-port-here"]) == 2
-        assert "HOST:PORT" in capsys.readouterr().err
-
-    def test_missing_authkey_file_rejected(self, capsys, tmp_path):
-        code = main([
-            "worker", "--connect", "127.0.0.1:1",
-            "--authkey-file", str(tmp_path / "absent"),
-        ])
-        assert code == 2
-        assert "cannot read authkey file" in capsys.readouterr().err
-
-    def test_unreachable_coordinator_exits_2(self, capsys):
-        import socket
-
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        _, port = probe.getsockname()
-        probe.close()
-        assert main(["worker", "--connect", f"127.0.0.1:{port}"]) == 2
-        assert "cannot reach coordinator" in capsys.readouterr().err
-
-    def test_connect_is_required(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["worker"])
-        assert "--connect" in capsys.readouterr().err
+class TestBadCounts:
+    @pytest.mark.parametrize("argv", [
+        ["train", "stock", "--samples", "0"],
+        ["train", "stock", "--epochs", "0"],
+        ["train", "stock", "--nodes", "0"],
+        ["train", "stock", "--threads", "-1"],
+        ["train", "stock", "--nodes", "four"],
+        ["chaos", "stock", "--groups", "0"],
+        ["chaos", "stock", "--checkpoint-every", "0"],
+        ["chaos", "stock", "--samples", "-8"],
+        ["plan", "mnist", "--minibatch", "0"],
+        ["rtl", "mnist", "--rows", "0"],
+        ["rtl", "mnist", "--columns", "0"],
+        ["cache", "prune", "--max-bytes", "-5"],
+        ["train", "stock", "--samples", "7"],
+        ["chaos", "stock", "--nodes", "2", "--groups", "4"],
+    ])
+    def test_rejected_with_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "error: " in err
 
 
 class TestModuleEntry:
