@@ -14,22 +14,25 @@
   harness asserts all three produce bit-identical
   :class:`ExperimentResult` rows and records the speedups.
 
+A third leg (:func:`measure_quorum_sweep`) times a graceful-degradation
+study: a quorum fraction x deadline grid on a 16-node straggler cluster.
+With ``--tier1``, the harness also times the tier-1 test suite in a
+child process (``tier1_wall_s``).
+
 Comparing a run against a committed baseline flags any stage that got
 more than ``tolerance`` times slower (and a warm-sweep speedup that
-collapsed), so CI catches perf regressions the functional suite cannot.
-
-A third leg (:func:`measure_quorum_sweep`) times a graceful-degradation
-study — a quorum fraction x deadline grid on a 16-node straggler cluster
-— on both the event-driven and the format-2 quorum-replay paths, asserts
-every :class:`IterationTiming` is bit-identical between them, and
-records the replay speedup.
+collapsed, or a tier-1 suite that slowed down), so CI catches perf
+regressions the functional suite cannot.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import os
 import platform
+import subprocess
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,6 +65,9 @@ class PerfReport:
     #: Quorum-sweep leg (:func:`measure_quorum_sweep`); empty when the
     #: leg was skipped (baselines written before it existed).
     quorum: Dict[str, object] = field(default_factory=dict)
+    #: Wall time of the tier-1 test suite (:func:`measure_tier1`), when
+    #: it was measured.
+    tier1_wall_s: Optional[float] = None
 
     def to_dict(self) -> Dict:
         return {
@@ -71,6 +77,7 @@ class PerfReport:
             "stages": self.stages,
             "figure_sweep": self.sweep,
             "quorum_sweep": self.quorum,
+            "tier1_wall_s": self.tier1_wall_s,
         }
 
     @classmethod
@@ -81,6 +88,7 @@ class PerfReport:
             quick=payload.get("quick", False),
             machine=payload.get("machine", {}),
             quorum=payload.get("quorum_sweep", {}),
+            tier1_wall_s=payload.get("tier1_wall_s"),
         )
 
 
@@ -115,8 +123,8 @@ def measure_stages(
     ``translate`` parses + translates the DSL program; ``plan`` runs the
     full design-space exploration; ``compile`` scalarises, maps, and
     schedules; ``simulate`` runs the vectorized MIMD timing model over a
-    10k-sample mini-batch; ``epoch`` runs the event-driven cluster
-    simulation for a 16-node epoch.
+    10k-sample mini-batch; ``epoch`` times a 16-node epoch on the cluster
+    timing engine.
     """
     from ..core.stack import CosmicStack
     from ..core.system import CosmicSystem, platform_for
@@ -174,19 +182,15 @@ def _result_payload(results: Sequence) -> str:
 def measure_figure_sweep(quick: bool = False) -> Dict[str, float]:
     """Regenerate Figure 7 + Figure 16 on the measured paths and compare.
 
-    Four regenerations: the serial uncached reference (cache bypassed —
-    which also bypasses schedule replay, so the reference is pure
-    event-driven simulation), a cold-cache run with schedule replay
-    forced off, a cold-cache run with replay on (the shipping default:
-    records each cluster schedule once, replays every other point), and
-    a warm-cache run. Raises :class:`AssertionError` if any path's rows
-    diverge from the reference — the determinism contract of the cache,
-    the parallel executor, and the replay engine.
+    Three regenerations: the serial uncached reference (cache bypassed),
+    a cold-cache run and a warm-cache run. Raises
+    :class:`AssertionError` if any path's rows diverge from the
+    reference — the determinism contract of the cache and the parallel
+    executor.
     """
     from ..bench import figures
     from ..perf.cache import cache_disabled, get_cache
     from ..perf.parallel import SweepExecutor, set_default_executor
-    from ..runtime.schedule import replay_disabled
 
     fig7_names = QUICK_BENCHES if quick else None
 
@@ -204,11 +208,6 @@ def measure_figure_sweep(quick: bool = False) -> Dict[str, float]:
 
         set_default_executor(SweepExecutor("auto"))
         cache.clear()
-        with replay_disabled():
-            start = time.perf_counter()
-            cold_noreplay = regenerate()
-            cold_noreplay_s = time.perf_counter() - start
-        cache.clear()
         start = time.perf_counter()
         cold = regenerate()
         cold_s = time.perf_counter() - start
@@ -219,46 +218,27 @@ def measure_figure_sweep(quick: bool = False) -> Dict[str, float]:
         set_default_executor(previous)
 
     expected = _result_payload(reference)
-    if _result_payload(cold_noreplay) != expected:
-        raise AssertionError(
-            "cold-cache (replay off) rows diverge from serial uncached"
-        )
     if _result_payload(cold) != expected:
-        raise AssertionError(
-            "cold-cache (replay on) rows diverge from serial uncached"
-        )
+        raise AssertionError("cold-cache rows diverge from serial uncached")
     if _result_payload(warm) != expected:
         raise AssertionError("warm-cache rows diverge from serial uncached")
 
     return {
         "serial_uncached_s": round(serial_uncached_s, 6),
-        "cold_noreplay_s": round(cold_noreplay_s, 6),
         "cold_cache_s": round(cold_s, 6),
         "warm_cache_s": round(warm_s, 6),
         "cold_speedup": round(serial_uncached_s / cold_s, 3),
         "warm_speedup": round(serial_uncached_s / warm_s, 3),
-        "replay_speedup": round(cold_noreplay_s / cold_s, 3),
         "rows_identical": True,
     }
 
 
 def measure_quorum_sweep(quick: bool = False) -> Dict[str, object]:
-    """The quorum-study measurement leg: a fraction x deadline grid on a
-    16-node straggler cluster, evaluated twice — full event-driven
-    simulation (replay kill switch thrown) and the format-2 quorum
-    replay path — and compared for bit-identity on every
-    :class:`IterationTiming` field.
-
-    This is the workload the replay engine was extended for: the grid
-    shares one recorded schedule, so the replay leg pays one recording
-    and re-times every (fraction, deadline) point on the booked arrival
-    arrays. Raises :class:`AssertionError` if any point diverges, or if
-    the replay leg never recorded a trace (a silently-disabled replayer
-    would vacuously pass).
-    """
+    """Time a quorum study: a fraction x deadline grid on a 16-node
+    straggler cluster, one iteration per grid point, from a cleared
+    cache."""
     from ..perf.cache import get_cache
     from ..runtime import ClusterSimulator, ClusterSpec, QuorumConfig
-    from ..runtime.schedule import replay_disabled
 
     fractions = (0.5, 1.0) if quick else (0.5, 0.75, 0.9, 1.0)
     deadlines = (1e-3, 20e-3) if quick else (1e-3, 5e-3, 20e-3, 80e-3)
@@ -276,86 +256,54 @@ def measure_quorum_sweep(quick: bool = False) -> Dict[str, object]:
         for f in fractions
         for d in deadlines
     ]
-
-    def run_grid():
-        return [sim.iteration(16_000, quorum=rule) for rule in grid]
-
     cache = get_cache()
     cache.clear()
-    with replay_disabled():
-        start = time.perf_counter()
-        event_rows = run_grid()
-        event_s = time.perf_counter() - start
-    cache.clear()
     start = time.perf_counter()
-    replay_rows = run_grid()
-    replay_s = time.perf_counter() - start
-
-    traced = [k for (k, _) in cache._memory if k == "cluster-schedule"]
-    if cache.enabled and not traced:
-        raise AssertionError(
-            "quorum sweep recorded no cluster-schedule trace; the "
-            "replayer never engaged"
-        )
-    for rule, event, replayed in zip(grid, event_rows, replay_rows):
-        if event != replayed:
-            raise AssertionError(
-                f"quorum replay diverges from event-driven simulation at "
-                f"fraction={rule.fraction} deadline_s={rule.deadline_s}"
-            )
+    for rule in grid:
+        sim.iteration(16_000, quorum=rule)
+    seconds = time.perf_counter() - start
     cache.clear()
     return {
         "points": len(grid),
         "fractions": list(fractions),
         "deadlines_s": list(deadlines),
-        "event_driven_s": round(event_s, 6),
-        "replay_s": round(replay_s, 6),
-        "speedup": round(event_s / replay_s, 3),
-        "rows_identical": True,
+        "seconds": round(seconds, 6),
     }
 
 
-def run_replay_smoke(
-    names: Optional[Sequence[str]] = QUICK_BENCHES,
-) -> List[str]:
-    """CI probe: Figure 7 must be bit-identical with replay off and on.
-
-    Regenerates from a cleared cache twice — once with the schedule
-    replayer disabled (pure event-driven simulation) and once with it on
-    — and also checks that the replay run actually recorded schedule
-    traces (a silently-disabled replayer would vacuously pass). Returns
-    a list of problems; empty means the smoke passed.
-    """
-    from ..bench import figures
-    from ..perf.cache import get_cache
-    from ..runtime.schedule import replay_disabled
-
-    cache = get_cache()
-    problems: List[str] = []
-    cache.clear()
-    with replay_disabled():
-        off = [figures.figure7(names)]
-    cache.clear()
-    on = [figures.figure7(names)]
-    if _result_payload(off) != _result_payload(on):
-        problems.append(
-            "Figure 7 rows differ between replay-off and replay-on runs"
-        )
-    traced = [k for (k, _) in cache._memory if k == "cluster-schedule"]
-    if cache.enabled and not traced:
-        problems.append(
-            "replay-on run recorded no cluster-schedule traces; the "
-            "replayer never engaged"
-        )
-    return problems
+def measure_tier1(root: Optional[Path] = None) -> float:
+    """Wall time of the tier-1 suite (``python -m pytest -x -q``), run
+    in a child process from the repository root. Raises
+    :class:`RuntimeError` if the suite fails or is not there."""
+    root = Path(root) if root is not None else Path(__file__).parents[3]
+    if not (root / "tests").is_dir():
+        raise RuntimeError(f"no tests/ directory under {root}")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    seconds = time.perf_counter() - start
+    if done.returncode != 0:
+        raise RuntimeError("tier-1 suite failed:\n" + done.stdout[-2000:])
+    return seconds
 
 
 def run_perf(
     names: Optional[Iterable[str]] = None,
     quick: bool = False,
     repeats: Optional[int] = None,
+    tier1: bool = False,
 ) -> PerfReport:
-    """The full harness: stage matrix + figure-sweep comparison."""
+    """The full harness: stage matrix, figure-sweep comparison, quorum
+    sweep and, with ``tier1``, the tier-1 suite's wall time."""
     if names is None and quick:
         names = QUICK_BENCHES
     if repeats is None:
@@ -364,6 +312,7 @@ def run_perf(
         stages=measure_stages(names, repeats=repeats),
         sweep=measure_figure_sweep(quick=quick),
         quorum=measure_quorum_sweep(quick=quick),
+        tier1_wall_s=round(measure_tier1(), 3) if tier1 else None,
         quick=quick,
         machine={
             "python": platform.python_version(),
@@ -392,7 +341,8 @@ def compare_to_baseline(
     """Regression messages; empty means the run is within tolerance.
 
     A stage regresses when it is ``tolerance`` times slower than the
-    baseline *and* the baseline is above the noise floor. The warm-sweep
+    baseline *and* the baseline is above the noise floor; so does the
+    tier-1 wall time, when both runs measured it. The warm-sweep
     speedup regresses when it falls below half the acceptance threshold
     (machines differ; collapsing to ~1x means the cache stopped working).
     """
@@ -418,10 +368,11 @@ def compare_to_baseline(
         )
     if not current.sweep.get("rows_identical", False):
         problems.append("figure-sweep rows are not identical across paths")
-    if current.quorum and not current.quorum.get("rows_identical", False):
+    now, base = current.tier1_wall_s, baseline.tier1_wall_s
+    if now is not None and base is not None and now > base * tolerance:
         problems.append(
-            "quorum-sweep rows are not identical between the replay and "
-            "event-driven paths"
+            f"tier-1 suite: {now:.1f}s vs baseline {base:.1f}s "
+            f"(>{tolerance:g}x)"
         )
     return problems
 
@@ -443,10 +394,6 @@ def render_report(report: PerfReport) -> str:
     lines.append(
         f"  serial uncached  {sweep['serial_uncached_s']:.3f}s"
     )
-    if "cold_noreplay_s" in sweep:
-        lines.append(
-            f"  cold, no replay  {sweep['cold_noreplay_s']:.3f}s"
-        )
     lines.append(
         f"  cold cache       {sweep['cold_cache_s']:.3f}s"
         f"  ({sweep['cold_speedup']:.2f}x)"
@@ -455,11 +402,6 @@ def render_report(report: PerfReport) -> str:
         f"  warm cache       {sweep['warm_cache_s']:.3f}s"
         f"  ({sweep['warm_speedup']:.2f}x)"
     )
-    if "replay_speedup" in sweep:
-        lines.append(
-            f"  replay speedup   {sweep['replay_speedup']:.2f}x"
-            "  (cold regeneration, schedule replay off -> on)"
-        )
     lines.append(
         "  rows identical   "
         + ("yes" if sweep.get("rows_identical") else "NO")
@@ -473,15 +415,8 @@ def render_report(report: PerfReport) -> str:
             f"({len(quorum['fractions'])} fractions x "
             f"{len(quorum['deadlines_s'])} deadlines)"
         )
-        lines.append(
-            f"  event-driven     {quorum['event_driven_s']:.3f}s"
-        )
-        lines.append(
-            f"  quorum replay    {quorum['replay_s']:.3f}s"
-            f"  ({quorum['speedup']:.2f}x)"
-        )
-        lines.append(
-            "  rows identical   "
-            + ("yes" if quorum.get("rows_identical") else "NO")
-        )
+        lines.append(f"  wall time        {quorum['seconds']:.3f}s")
+    if report.tier1_wall_s is not None:
+        lines.append("")
+        lines.append(f"== perf: tier-1 suite {report.tier1_wall_s:.1f}s ==")
     return "\n".join(lines)

@@ -12,10 +12,10 @@ Commands:
 * ``chaos <benchmark> [--scenario ...]`` — train under an injected fault
   scenario with the fault-tolerant runtime and report recovery cost
   against the healthy run.
-* ``perf [--quick] [--update-baseline]`` — time the toolchain stages and
-  a cached/parallel figure regeneration, and gate against the committed
-  ``BENCH_perf.json`` baseline. ``--replay-smoke`` runs only the
-  schedule-replay identity probe (Figure 7 rows with replay off vs on).
+* ``perf [--quick] [--tier1] [--update-baseline]`` — time the toolchain
+  stages, a cached/parallel figure regeneration, a quorum sweep and
+  (``--tier1``) the tier-1 test suite, and gate against the committed
+  ``BENCH_perf.json`` baseline.
 * ``cache stats|prune`` — inspect or evict the on-disk artifact cache.
 """
 
@@ -141,10 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="flag stages slower than TOLERANCE x baseline (default 2.0)",
     )
     perf.add_argument(
-        "--replay-smoke",
+        "--tier1",
         action="store_true",
-        help="only assert Figure 7 rows identical with schedule replay "
-        "off vs on (the CI replay gate)",
+        help="also time the tier-1 test suite (python -m pytest -x -q)",
     )
 
     cache = sub.add_parser(
@@ -445,22 +444,10 @@ def _cmd_perf(args) -> int:
         load_report,
         render_report,
         run_perf,
-        run_replay_smoke,
         write_report,
     )
 
-    if args.replay_smoke:
-        problems = run_replay_smoke()
-        if problems:
-            print("REPLAY SMOKE FAILED:")
-            for problem in problems:
-                print(f"  - {problem}")
-            return 1
-        print("replay smoke passed: Figure 7 rows identical with "
-              "schedule replay off vs on")
-        return 0
-
-    report = run_perf(names=args.benches, quick=args.quick)
+    report = run_perf(names=args.benches, quick=args.quick, tier1=args.tier1)
     print(render_report(report))
 
     baseline_path = Path(args.baseline)

@@ -2,8 +2,8 @@
 
 A :class:`NodePlatform` answers "how long does one node's accelerator take
 for k samples, and what does the node draw"; :class:`CosmicSystem` puts
-``nodes`` of them behind the CoSMIC system software (the event-driven
-cluster simulation) and reports iteration/epoch times — the quantity every
+``nodes`` of them behind the CoSMIC system software (the cluster
+timing simulation) and reports iteration/epoch times — the quantity every
 figure in Section 7 is built from.
 """
 

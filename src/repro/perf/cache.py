@@ -42,9 +42,7 @@ from . import env as _env
 #: Artifact kinds that persist to disk when a cache directory is set.
 #: Translations stay memory-only: they are cheap to recompute and carry
 #: the whole AST/symbol table, which is not a deployment artifact.
-#: Cluster schedule traces persist so a cold process replays figure
-#: sweeps without re-recording the event-driven simulation.
-_DISK_KINDS = ("plan", "compile", "cluster-schedule")
+_DISK_KINDS = ("plan", "compile")
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +131,6 @@ class CacheStats:
     disk_hits: int = 0
     stores: int = 0
     evictions: int = 0
-    #: Disk entries rejected by a caller's ``validate`` hook (stale
-    #: artifact versions); each is deleted and recomputed as a miss.
-    invalidated: int = 0
 
     @property
     def lookups(self) -> int:
@@ -186,7 +181,6 @@ class ArtifactCache:
         key: str,
         compute: Callable[[], Any],
         sidecar: Optional[Callable[[Any], Dict]] = None,
-        validate: Optional[Callable[[Any], bool]] = None,
     ) -> Any:
         """Return the ``kind`` artifact for ``key``, computing on miss.
 
@@ -197,11 +191,6 @@ class ArtifactCache:
             compute: thunk producing the artifact on a miss.
             sidecar: optional renderer producing a JSON-able dict written
                 next to the pickled payload (diff-able artifact record).
-            validate: optional predicate applied to disk-loaded payloads
-                (version/schema checks); a rejected entry is deleted and
-                recomputed as a miss, so stale artifact formats never
-                reach a caller. Memory entries were produced (or already
-                validated) by this process and are trusted.
         """
         if not self.enabled:
             return compute()
@@ -211,13 +200,6 @@ class ArtifactCache:
                 self.stats.hits += 1
                 return self._memory[slot]
         artifact = self._disk_load(kind, key)
-        if (
-            artifact is not None
-            and validate is not None
-            and not validate(artifact)
-        ):
-            self._disk_invalidate(kind, key)
-            artifact = None
         if artifact is not None:
             with self._lock:
                 self.stats.disk_hits += 1
@@ -268,19 +250,6 @@ class ArtifactCache:
         except OSError:
             pass
         return artifact
-
-    def _disk_invalidate(self, kind: str, key: str):
-        """Drop one stale persisted artifact (pickle + sidecar)."""
-        path = self._disk_path(kind, key)
-        if path is None:
-            return
-        for stale in (path, path.with_suffix(".json")):
-            try:
-                stale.unlink()
-            except FileNotFoundError:
-                pass
-        with self._lock:
-            self.stats.invalidated += 1
 
     def _disk_store(
         self,

@@ -9,8 +9,8 @@ expected form instead of an anonymous ``ValueError`` from deep inside a
 sweep.
 
 Accessors read the environment at *call* time, so tests can monkeypatch
-``os.environ`` and callers (the lazy default executor, the schedule
-replayer's kill-switch) see the change without re-importing anything.
+``os.environ`` and callers (the lazy default executor, the artifact
+cache) see the change without re-importing anything.
 """
 
 from __future__ import annotations
@@ -114,13 +114,3 @@ def cache_max_bytes() -> Optional[int]:
     """``REPRO_CACHE_MAX_BYTES`` — LRU cap for the disk tier."""
     return env_int("REPRO_CACHE_MAX_BYTES", None, minimum=0)
 
-
-# ---------------------------------------------------------------------------
-# Runtime knobs
-# ---------------------------------------------------------------------------
-
-
-def schedule_replay_enabled() -> bool:
-    """``REPRO_SCHEDULE_REPLAY`` — the schedule-replay kill-switch
-    (``0``/``false`` forces full event-driven simulation everywhere)."""
-    return env_flag("REPRO_SCHEDULE_REPLAY", True)

@@ -33,8 +33,7 @@ from .director import (
     rebuild_topology,
     rehierarchy_seconds,
 )
-from .events import EventLoop, Resource
-from .network import Network, NetworkConfig, Nic, RetryPolicy
+from .network import Network, NetworkConfig, RetryPolicy
 from .recovery import (
     SCENARIOS,
     ChaosResult,
@@ -43,14 +42,14 @@ from .recovery import (
     chaos_train,
     scenario_timeline,
 )
-from .schedule import (
-    ScheduleTrace,
-    record_schedule,
-    replay_disabled,
-    replay_enabled,
-    replay_iteration,
+from .schedule import SendPlan, record_schedule, replay_iteration
+from .threads import (
+    CircularBuffer,
+    PoolConfig,
+    Resource,
+    SigmaPipeline,
+    WorkerPool,
 )
-from .threads import CircularBuffer, PoolConfig, SigmaPipeline, WorkerPool
 from .trainer import DistributedTrainer, TrainingResult
 
 __all__ = [
@@ -80,23 +79,19 @@ __all__ = [
     "ClusterSimulator",
     "ClusterSpec",
     "DistributedTrainer",
-    "EventLoop",
     "FaultSpec",
     "apply_faults",
     "IterationTiming",
     "Network",
     "NetworkConfig",
-    "Nic",
     "NodeRole",
     "PoolConfig",
     "ROLE_DELTA",
     "ROLE_MASTER_SIGMA",
     "ROLE_SIGMA",
     "Resource",
-    "ScheduleTrace",
+    "SendPlan",
     "record_schedule",
-    "replay_disabled",
-    "replay_enabled",
     "replay_iteration",
     "SigmaPipeline",
     "Topology",

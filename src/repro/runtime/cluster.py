@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
+from . import schedule
 from .director import Topology, assign_roles
-from .events import EventLoop
-from .network import Network, NetworkConfig
-from .threads import PoolConfig, SigmaPipeline
+from .network import NetworkConfig
+from .threads import PoolConfig
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,10 @@ class QuorumConfig:
             raise ValueError(
                 f"quorum fraction must be in (0, 1], got {self.fraction}"
             )
-        if self.deadline_s <= 0:
+        if not (math.isfinite(self.deadline_s) and self.deadline_s > 0):
             raise ValueError(
-                f"straggler deadline must be positive, got {self.deadline_s}"
+                "deadline_s must be positive and finite, got "
+                f"{self.deadline_s!r}"
             )
 
     def quorum(self, contributors: int) -> int:
@@ -128,7 +129,7 @@ ComputeFn = Callable[[int, int], float]
 
 
 class ClusterSimulator:
-    """Event-driven simulation of the CoSMIC system software."""
+    """Timing model of the CoSMIC system software over one topology."""
 
     def __init__(
         self,
@@ -148,10 +149,9 @@ class ClusterSimulator:
                 a re-formed hierarchy over surviving node ids here;
                 defaults to the Director's assignment for ``spec``.
             faults: fault context (a FaultSpec/FaultTimeline, or any
-                truthy marker) under which this simulator runs. A faulted
-                cluster's schedule differs from the healthy one, so any
-                truthy value disables both the iteration memo and
-                schedule replay — every call re-simulates event-driven.
+                truthy marker) under which this simulator runs. Any truthy
+                value bypasses the iteration memo, so a faulted run never
+                reads or writes a healthy-run artifact.
         """
         if update_bytes <= 0:
             raise ValueError("model update must have positive size")
@@ -187,27 +187,14 @@ class ClusterSimulator:
         on the slowest partial; the timing's ``dropped`` field lists the
         node ids whose partials missed the window.
 
-        The event simulation itself is a pure function of the cluster
-        spec, topology, update size, quorum rule, and each node's compute
-        time — so it is memoized in the artifact cache keyed on exactly
-        those inputs. The compute model is still invoked once per node
-        per call (it may be stateful, e.g. straggler injection), and its
-        *results* are part of the key: different compute times mean a
-        fresh simulation, identical ones reuse the previous schedule.
-
-        Healthy iterations — quorum-windowed ones included — additionally
-        go through the schedule-replay engine
-        (:mod:`repro.runtime.schedule`): the event schedule is recorded
-        once per (topology, update size) and every other sweep point
-        re-times that trace instead of re-simulating. A quorum rule is
-        evaluated by the replayer directly on the booked arrival arrays
-        (the memo key carries the rule, so windowed and barrier results
-        never collide). A fault context on the simulator disables the
-        memo, the schedule cache, and replay — faults change the
-        schedule, so a faulted run must never see (or produce) a
-        healthy-run artifact. The cached and replayed results are
-        bit-identical to the event-driven simulation, enforced by the
-        differential property suites.
+        The timing (:mod:`repro.runtime.schedule`) is a pure function of
+        the cluster spec, topology, update size, quorum rule, and each
+        node's compute time, so it is memoized in the artifact cache
+        keyed on exactly those inputs. The compute model is still invoked
+        once per node per call (it may be stateful, e.g. straggler
+        injection), and its *results* are part of the key. A fault
+        context on the simulator bypasses the memo: the healthy-run key
+        does not describe a faulted cluster.
         """
         from dataclasses import replace
 
@@ -219,13 +206,9 @@ class ClusterSimulator:
             self._compute_seconds(role.node_id, per_node)
             for role in topo.roles
         ]
-        if self.faults:
-            # Fault contexts bypass the memo AND the schedule cache: the
-            # healthy-run key does not describe a faulted schedule.
-            return self._iteration_uncached(quorum, compute_times)
         cache = get_cache()
-        if not cache.enabled:  # skip fingerprinting on the uncached path
-            return self._iteration_uncached(quorum, compute_times)
+        if self.faults or not cache.enabled:
+            return self._simulate(quorum, compute_times)
         key = fingerprint(
             "iteration",
             self.spec,
@@ -237,7 +220,7 @@ class ClusterSimulator:
         timing = cache.get_or_compute(
             "iteration",
             key,
-            lambda: self._timed_iteration(quorum, compute_times),
+            lambda: self._simulate(quorum, compute_times),
         )
         # Hand every caller its own list fields; the cached instance must
         # stay pristine for the next hit.
@@ -247,259 +230,17 @@ class ClusterSimulator:
             dropped=list(timing.dropped),
         )
 
-    def _timed_iteration(
+    def _simulate(
         self,
         quorum: Optional[QuorumConfig],
         compute_times: List[float],
     ) -> IterationTiming:
-        """Memo-miss path: replay the recorded schedule when eligible,
-        otherwise run the full event-driven simulation.
-
-        Quorum windows replay too (since schedule format 2): the trace's
-        per-sender arrival annotations let the replayer evaluate the
-        window closure on the booked arrival arrays and re-book only the
-        withheld-send pass. Only the ``REPRO_SCHEDULE_REPLAY=0`` kill
-        switch (and, upstream of this method, a fault context) forces the
-        full event-driven simulation.
-        """
-        from .schedule import replay_enabled, replay_iteration
-
-        if replay_enabled():
-            trace = self._schedule_trace()
-            return replay_iteration(
-                trace, self.spec, compute_times, quorum=quorum
-            )
-        return self._iteration_uncached(quorum, compute_times)
-
-    def _schedule_trace(self):
-        """Fetch (or record) this cluster's schedule trace, content-
-        addressed on everything that shapes the schedule."""
-        from ..perf.cache import get_cache
-        from .schedule import (
-            SCHEDULE_FORMAT,
-            record_schedule,
-            schedule_cache_key,
-            trace_sidecar,
-        )
-
-        cache = get_cache()
-        key = schedule_cache_key(self.topology, self.update_bytes)
-        trace = cache.get_or_compute(
-            "cluster-schedule",
-            key,
-            lambda: record_schedule(self),
-            sidecar=trace_sidecar,
-            # Belt-and-suspenders versioning: the format is part of the
-            # key, but a stale pickle surfacing anyway (hand-copied cache
-            # dir, key collision after an undisciplined edit) is dropped
-            # and re-recorded rather than replayed.
-            validate=lambda t: (
-                getattr(t, "format_version", None) == SCHEDULE_FORMAT
-            ),
-        )
-        if trace.roles != tuple(self.topology.roles) or (
-            trace.update_bytes != self.update_bytes
-        ):
-            raise RuntimeError(
-                "cluster-schedule cache returned a trace recorded for a "
-                "different cluster; the cache key is missing an input"
-            )
-        return trace
-
-    def _iteration_uncached(
-        self,
-        quorum: Optional[QuorumConfig],
-        compute_times: List[float],
-        recorder=None,
-    ) -> IterationTiming:
-        spec = self.spec
-        topo = self.topology
-        network = Network(EventLoop(), spec.network)
-        network.recorder = recorder
-
-        compute_done: Dict[int, float] = {}
-        for role, seconds in zip(topo.roles, compute_times):
-            compute_done[role.node_id] = spec.management_overhead_s + seconds
-
-        first_send = min(compute_done.values())
-        master = topo.master
-
-        # Phase 2: deltas stream partial updates to their group sigma.
-        # Sends are issued in start-time order: NIC Resources book FCFS in
-        # call order, so a straggler issued early must not queue ahead of
-        # messages that hit the wire before it.
-        def deltas_to_sigmas(net: Network, skip):
-            loop = EventLoop()
-            net.use_loop(loop)
-            pipes: Dict[int, SigmaPipeline] = {
-                s.node_id: SigmaPipeline(spec.pools) for s in topo.sigmas()
-            }
-            own: Dict[int, float] = {}
-            feeds: Dict[int, Dict[int, _Feeder]] = {}
-            sends = []
-            for sigma in topo.sigmas():
-                pipeline = pipes[sigma.node_id]
-                # The sigma folds its own accelerator's partial locally.
-                own[sigma.group] = pipeline.fold_local(
-                    compute_done[sigma.node_id], self.update_bytes
-                )
-                feeds[sigma.node_id] = {}
-                for delta in topo.deltas_of(sigma.node_id):
-                    if delta.node_id in skip:
-                        continue
-                    feeder = _Feeder(pipeline)
-                    feeds[sigma.node_id][delta.node_id] = feeder
-                    sends.append(
-                        (
-                            compute_done[delta.node_id],
-                            delta.node_id,
-                            sigma.node_id,
-                            feeder,
-                        )
-                    )
-            for start, delta_id, sigma_id, feeder in sorted(
-                sends, key=lambda s: s[:2]
-            ):
-                net.send(
-                    delta_id, sigma_id, self.update_bytes, start, on_chunk=feeder
-                )
-            loop.run()
-            return pipes, own, feeds
-
-        def close_groups(own, feeds):
-            done: Dict[int, float] = {}
-            members: Dict[int, List[int]] = {}
-            late = set()
-            for sigma in topo.sigmas():
-                contributions = [(sigma.node_id, own[sigma.group])] + [
-                    (delta_id, feeder.done)
-                    for delta_id, feeder in feeds[sigma.node_id].items()
-                ]
-                included, out = _close_window(contributions, quorum)
-                done[sigma.group] = max(t for _, t in included)
-                members[sigma.group] = [node for node, _ in included]
-                late.update(node for node, _ in out)
-            return done, members, late
-
-        # A dropped partial must not occupy the sigma's NIC — the receiver
-        # refuses it, and everything after (the broadcast, the next
-        # iteration) would otherwise queue behind bytes nobody wants. NIC
-        # Resources cannot book out of order, so quorum mode first probes
-        # a scratch network to learn who misses the window, then replays
-        # on the real one with those sends withheld.
-        skip2 = frozenset()
-        if quorum is not None:
-            _, own_probe, feeds_probe = deltas_to_sigmas(
-                Network(EventLoop(), spec.network), skip2
-            )
-            _, _, late2 = close_groups(own_probe, feeds_probe)
-            skip2 = frozenset(late2)
-        pipelines, group_own, feeders = deltas_to_sigmas(network, skip2)
-        group_done, group_members, _ = close_groups(group_own, feeders)
-
-        # Phase 3: group aggregates -> master sigma (same quorum rule).
-        # Fresh loop per pass: a quorum window may close before another
-        # group's straggler chunks landed, so this phase's deliveries can
-        # predate the previous loop's final event time.
-        def sigmas_to_master(net: Network, skip):
-            loop = EventLoop()
-            net.use_loop(loop)
-            pipe = SigmaPipeline(spec.pools)
-            own = pipe.fold_local(group_done[master.group], self.update_bytes)
-            feeds: Dict[int, _Feeder] = {}
-            sends = []
-            for sigma in topo.sigmas():
-                if sigma.node_id == master.node_id or sigma.node_id in skip:
-                    continue
-                feeder = _Feeder(pipe)
-                feeds[sigma.node_id] = feeder
-                sends.append((group_done[sigma.group], sigma.node_id, feeder))
-            for start, sigma_id, feeder in sorted(sends, key=lambda s: s[:2]):
-                net.send(
-                    sigma_id,
-                    master.node_id,
-                    self.update_bytes,
-                    start,
-                    on_chunk=feeder,
-                )
-            loop.run()
-            return pipe, own, feeds
-
-        def close_master(own, feeds):
-            contributions = [(master.node_id, own)] + [
-                (sigma_id, feeder.done) for sigma_id, feeder in feeds.items()
-            ]
-            return _close_window(contributions, quorum)
-
-        skip3 = frozenset()
-        if quorum is not None:
-            # The probe replays phase 2 first so the master's RX NIC
-            # carries the same bookings as the real network.
-            probe = Network(EventLoop(), spec.network)
-            deltas_to_sigmas(probe, skip2)
-            _, own_probe, feeds_probe = sigmas_to_master(probe, skip3)
-            _, out3 = close_master(own_probe, feeds_probe)
-            skip3 = frozenset(node for node, _ in out3)
-        master_pipe, own_group_done, master_feeders = sigmas_to_master(
-            network, skip3
-        )
-        sigma_group = {s.node_id: s.group for s in topo.sigmas()}
-        included_groups, _ = close_master(own_group_done, master_feeders)
-        master_done = max(t for _, t in included_groups)
-        contributors = sorted(
-            node
-            for sigma_id, _ in included_groups
-            for node in group_members[sigma_group[sigma_id]]
-        )
-        dropped = sorted(
-            r.node_id for r in topo.roles if r.node_id not in contributors
-        )
-
-        # Phase 4: hierarchical model broadcast.
-        loop = EventLoop()
-        network.use_loop(loop)
-        broadcast_done = master_done
-        for sigma in topo.sigmas():
-            sigma_recv = master_done
-            if sigma.node_id != master.node_id:
-                sigma_recv = network.send(
-                    master.node_id,
-                    sigma.node_id,
-                    self.update_bytes,
-                    master_done,
-                )
-            broadcast_done = max(broadcast_done, sigma_recv)
-            for delta in topo.deltas_of(sigma.node_id):
-                arrival = network.send(
-                    sigma.node_id,
-                    delta.node_id,
-                    self.update_bytes,
-                    sigma_recv,
-                )
-                broadcast_done = max(broadcast_done, arrival)
-        loop.run()
-
-        total = broadcast_done + spec.management_overhead_s
-        agg_busy = sum(
-            p.aggregation.busy_seconds() for p in pipelines.values()
-        ) + master_pipe.aggregation.busy_seconds()
-        sigma_rx_busy = sum(
-            network.nic(s.node_id).rx.busy_seconds for s in topo.sigmas()
-        )
-        return IterationTiming(
-            total_s=total,
-            compute_s=sum(compute_times) / len(compute_times),
-            compute_max_s=max(compute_times),
-            network_s=max(0.0, master_done - first_send),
-            aggregation_busy_s=agg_busy,
-            broadcast_s=broadcast_done - master_done,
-            management_s=2 * spec.management_overhead_s,
-            wire_bytes=network.bytes_sent,
-            wire_messages=network.messages_sent,
-            sigma_rx_busy_s=sigma_rx_busy,
-            sigma_count=len(topo.sigmas()),
-            contributors=contributors,
-            dropped=dropped,
+        """Build the send plan and time it. Both functions are looked up
+        on the module at call time, so wrappers installed there see
+        every call."""
+        plan = schedule.record_schedule(self.topology, self.update_bytes)
+        return schedule.replay_iteration(
+            plan, self.spec, compute_times, quorum=quorum
         )
 
     def epoch_seconds(
@@ -519,19 +260,6 @@ class ClusterSimulator:
         if remainder or not full:
             seconds += self.iteration(max(1, remainder)).total_s
         return seconds
-
-
-class _Feeder:
-    """Feeds one sender's chunks into a SigmaPipeline, tracking when the
-    last of them was folded — the sender's partial-complete time, which
-    the quorum window is judged against."""
-
-    def __init__(self, pipeline: SigmaPipeline):
-        self._pipeline = pipeline
-        self.done = 0.0
-
-    def __call__(self, time: float, nbytes: int):
-        self.done = max(self.done, self._pipeline.on_chunk(time, nbytes))
 
 
 def _close_window(contributions, quorum: Optional[QuorumConfig]):

@@ -10,10 +10,10 @@ producer-consumer overlap the circular buffer enables (Figure 2).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
-
-from .events import EventLoop, Resource
+from typing import Callable, Dict, List, Optional
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,31 @@ class NetworkConfig:
     per_message_overhead_s: float = 200e-6
     per_chunk_overhead_s: float = 5e-6
     chunk_bytes: int = 64 * 1024
+
+    def __post_init__(self):
+        if not (math.isfinite(self.bandwidth_bps) and self.bandwidth_bps > 0):
+            raise ValueError(
+                "bandwidth_bps must be positive and finite, got "
+                f"{self.bandwidth_bps!r}"
+            )
+        for name in (
+            "latency_s",
+            "per_message_overhead_s",
+            "per_chunk_overhead_s",
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be non-negative and finite, got {value!r}"
+                )
+        if not (
+            isinstance(self.chunk_bytes, numbers.Integral)
+            and self.chunk_bytes >= 1
+        ):
+            raise ValueError(
+                "chunk_bytes must be an integer >= 1, got "
+                f"{self.chunk_bytes!r}"
+            )
 
     def wire_seconds(self, nbytes: int) -> float:
         return nbytes * 8.0 / self.bandwidth_bps
@@ -76,109 +101,105 @@ class RetryPolicy:
         return sum(self.attempt_timeouts())
 
 
-class Nic:
-    """Full-duplex endpoint: independent TX and RX serialisation."""
-
-    def __init__(self, node_id: int):
-        self.node_id = node_id
-        self.tx = Resource(f"nic{node_id}.tx")
-        self.rx = Resource(f"nic{node_id}.rx")
-
-
 class Network:
-    """Chunked point-to-point transfers over per-node NICs."""
+    """The per-node NIC ledger: chunked point-to-point transfers.
 
-    def __init__(self, loop: EventLoop, config: NetworkConfig = NetworkConfig()):
-        self._loop = loop
+    Each node's NIC has independent TX and RX directions, each serially
+    reusable and booked first-come-first-served in call order. Callers
+    book messages in the order they hit the wire. A message is split into
+    ``chunk_bytes`` chunks: the sender's TX serialises them back to back,
+    and each chunk then queues on the receiver's RX.
+    """
+
+    def __init__(self, config: NetworkConfig = NetworkConfig()):
         self.config = config
-        self._nics: Dict[int, Nic] = {}
+        self.tx_free: Dict[int, float] = {}
+        self.rx_free: Dict[int, float] = {}
+        self.rx_busy: Dict[int, float] = {}
         self.bytes_sent = 0
         self.messages_sent = 0
         self.retries = 0
         self.messages_failed = 0
-        #: Optional ScheduleRecorder capturing the event schedule — phase
-        #: boundaries (use_loop) and every send — for schedule replay.
-        self.recorder = None
+        self._plans: Dict[int, tuple] = {}
 
-    def nic(self, node_id: int) -> Nic:
-        if node_id not in self._nics:
-            self._nics[node_id] = Nic(node_id)
-        return self._nics[node_id]
+    def clone(self) -> "Network":
+        """An independent copy of the bookings and counters, so a caller
+        can book tentatively and roll back."""
+        copy = Network(self.config)
+        copy.tx_free = dict(self.tx_free)
+        copy.rx_free = dict(self.rx_free)
+        copy.rx_busy = dict(self.rx_busy)
+        copy.bytes_sent = self.bytes_sent
+        copy.messages_sent = self.messages_sent
+        copy.retries = self.retries
+        copy.messages_failed = self.messages_failed
+        copy._plans = self._plans
+        return copy
 
-    def use_loop(self, loop: EventLoop):
-        """Rebind callback dispatch to a fresh loop at a phase boundary.
+    def chunk_sizes(self, nbytes: int) -> List[int]:
+        """Chunk sizes of one message: full chunks, then the remainder."""
+        return list(self._plan(nbytes)[0])
 
-        NIC bookings are absolute-time, so they carry across loops; a new
-        loop lets a later phase schedule deliveries earlier than the
-        previous phase's stragglers (e.g. a quorum window that closed
-        while a dropped partial was still in flight)."""
-        self._loop = loop
-        if self.recorder is not None:
-            self.recorder.on_phase()
+    def rx_busy_seconds(self, node_id: int) -> float:
+        """Seconds the node's receive side has been occupied."""
+        return self.rx_busy.get(node_id, 0.0)
 
-    def send(
-        self,
-        src: int,
-        dst: int,
-        nbytes: int,
-        start: float,
-        on_chunk: Optional[Callable[[float, int], None]] = None,
-        on_done: Optional[Callable[[float], None]] = None,
-    ) -> float:
-        """Simulate one logical message; returns the delivery-complete time.
+    def _plan(self, nbytes: int) -> tuple:
+        plan = self._plans.get(nbytes)
+        if plan is None:
+            cfg = self.config
+            full, rem = divmod(nbytes, cfg.chunk_bytes)
+            sizes = [cfg.chunk_bytes] * full + ([rem] if rem else [])
+            wires = [
+                cfg.wire_seconds(size) + cfg.per_chunk_overhead_s
+                for size in sizes
+            ]
+            plan = self._plans[nbytes] = (sizes, wires)
+        return plan
 
-        ``on_chunk(time, bytes)`` fires as each chunk lands in the
-        receiver's socket buffer; ``on_done(time)`` fires once after the
-        last chunk.
+    def book(
+        self, src: int, dst: int, nbytes: int, start: float
+    ) -> List[float]:
+        """Book one message on both NICs; returns each chunk's arrival.
+
+        Chunk ``i`` leaves when the sender's TX is free and lands
+        ``latency_s`` later, once the receiver's RX is free. After the
+        first chunk the sender's cursor always equals its own TX free
+        time, so the TX chain is a plain left-to-right sum; the RX side
+        is a scan that waits for the receiver. One loop does both.
         """
         if src == dst:
             raise ValueError("loopback transfers are free; do not model them")
         if nbytes <= 0:
             raise ValueError("message must have a positive size")
         cfg = self.config
-        src_nic = self.nic(src)
-        dst_nic = self.nic(dst)
+        latency = cfg.latency_s
+        wires = self._plan(nbytes)[1]
         self.bytes_sent += nbytes
         self.messages_sent += 1
-        # Per-contributor arrival metadata for the schedule recorder: the
-        # chunk arrival instants and the TX chain that produced them, in
-        # booking order. Collected only while recording — the lists cost
-        # an append per chunk on the hot event path otherwise.
-        recording = self.recorder is not None
-        chunk_arrivals = [] if recording else None
-        chunk_tx_starts = [] if recording else None
-
         cursor = start + cfg.per_message_overhead_s
-        remaining = nbytes
-        last_arrival = cursor
-        while remaining > 0:
-            chunk = min(remaining, cfg.chunk_bytes)
-            remaining -= chunk
-            wire = cfg.wire_seconds(chunk) + cfg.per_chunk_overhead_s
-            tx_start = src_nic.tx.acquire(cursor, wire)
-            arrival_earliest = tx_start + wire + cfg.latency_s
-            rx_start = dst_nic.rx.acquire(arrival_earliest - wire, wire)
-            arrival = rx_start + wire
-            cursor = tx_start + wire  # next chunk queues behind this one
-            last_arrival = max(last_arrival, arrival)
-            if recording:
-                chunk_tx_starts.append(tx_start)
-                chunk_arrivals.append(arrival)
-            if on_chunk is not None:
-                self._loop.at(arrival, _bind_chunk(on_chunk, arrival, chunk))
-        if recording:
-            self.recorder.on_send(
-                src,
-                dst,
-                nbytes,
-                start,
-                len(chunk_arrivals),
-                arrivals=chunk_arrivals,
-                tx_starts=chunk_tx_starts,
-            )
-        if on_done is not None:
-            self._loop.at(last_arrival, _bind_done(on_done, last_arrival))
-        return last_arrival
+        tx = self.tx_free.get(src, 0.0)
+        if cursor >= tx:
+            tx = cursor
+        rx = self.rx_free.get(dst, 0.0)
+        busy = self.rx_busy.get(dst, 0.0)
+        arrivals = []
+        for wire in wires:
+            earliest = (tx + wire + latency) - wire
+            rx = (earliest if earliest >= rx else rx) + wire
+            arrivals.append(rx)
+            busy += wire
+            tx += wire
+        self.tx_free[src] = tx
+        self.rx_free[dst] = rx
+        self.rx_busy[dst] = busy
+        return arrivals
+
+    def send(self, src: int, dst: int, nbytes: int, start: float) -> float:
+        """Book one message; returns its delivery-complete time."""
+        arrivals = self.book(src, dst, nbytes, start)
+        cursor = start + self.config.per_message_overhead_s
+        return max(cursor, max(arrivals))
 
     def send_reliable(
         self,
@@ -188,8 +209,6 @@ class Network:
         start: float,
         reachable: Callable[[float], bool],
         policy: RetryPolicy = RetryPolicy(),
-        on_chunk: Optional[Callable[[float, int], None]] = None,
-        on_done: Optional[Callable[[float], None]] = None,
     ) -> Optional[float]:
         """``send`` with per-message timeout and exponential backoff.
 
@@ -203,18 +222,8 @@ class Network:
         cursor = start
         for attempt_timeout in policy.attempt_timeouts():
             if reachable(cursor):
-                return self.send(src, dst, nbytes, cursor, on_chunk, on_done)
+                return self.send(src, dst, nbytes, cursor)
             cursor += attempt_timeout
             self.retries += 1
-            if self.recorder is not None:
-                self.recorder.on_retry(src, dst)
         self.messages_failed += 1
         return None
-
-
-def _bind_chunk(fn: Callable[[float, int], None], time: float, size: int):
-    return lambda: fn(time, size)
-
-
-def _bind_done(fn: Callable[[float], None], time: float):
-    return lambda: fn(time)

@@ -2,7 +2,7 @@
 
 The paper's system layer (Sections 3, 4.3) is evaluated on a healthy
 16-node cluster; this module answers what happens when nodes die. It
-drives the functional trainer and the discrete-event cluster model
+drives the functional trainer and the cluster timing model
 iteration by iteration against a :class:`~repro.runtime.faults.FaultTimeline`,
 applying the classic distributed-training fault machinery:
 

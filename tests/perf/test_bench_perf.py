@@ -35,11 +35,9 @@ def _report(stages=None, sweep=None, quorum=None):
             "points": 4,
             "fractions": [0.5, 1.0],
             "deadlines_s": [0.001, 0.02],
-            "event_driven_s": 0.02,
-            "replay_s": 0.01,
-            "speedup": 2.0,
-            "rows_identical": True,
+            "seconds": 0.01,
         },
+        tier1_wall_s=20.0,
         quick=True,
     )
 
@@ -78,10 +76,15 @@ class TestComparator:
         )
         assert any("identical" in p for p in problems)
 
-    def test_divergent_quorum_rows_flagged(self):
-        bad = dict(_report().quorum, rows_identical=False)
-        problems = compare_to_baseline(_report(quorum=bad), _report())
-        assert any("quorum" in p for p in problems)
+    def test_slower_tier1_flagged(self):
+        slow = _report()
+        slow.tier1_wall_s = 45.0
+        problems = compare_to_baseline(slow, _report(), tolerance=2.0)
+        assert any("tier-1" in p for p in problems)
+        unmeasured = _report()
+        unmeasured.tier1_wall_s = None
+        assert compare_to_baseline(unmeasured, _report()) == []
+        assert compare_to_baseline(_report(), unmeasured) == []
 
     def test_missing_quorum_leg_tolerated(self):
         """Baselines written before the quorum leg existed (and current
@@ -100,6 +103,7 @@ class TestPayloadRoundTrip:
         assert loaded.stages == _report().stages
         assert loaded.sweep == _report().sweep
         assert loaded.quorum == _report().quorum
+        assert loaded.tier1_wall_s == 20.0
         assert json.loads(path.read_text())["format_version"] == 1
 
     def test_pre_quorum_payload_loads(self):
@@ -111,7 +115,8 @@ class TestPayloadRoundTrip:
         text = render_report(_report())
         assert "stock" in text
         assert "warm cache" in text
-        assert "quorum replay" in text
+        assert "quorum-window sweep" in text
+        assert "tier-1 suite" in text
 
 
 class TestHarness:
@@ -130,16 +135,13 @@ class TestHarness:
         assert sweep["serial_uncached_s"] > 0
         assert sweep["warm_speedup"] > 1.0
 
-    def test_quorum_sweep_rows_identical(self):
+    def test_quorum_sweep_shape(self):
         get_cache().clear()
         quorum = measure_quorum_sweep(quick=True)
-        assert quorum["rows_identical"] is True
         assert quorum["points"] == len(quorum["fractions"]) * len(
             quorum["deadlines_s"]
         )
-        assert quorum["event_driven_s"] > 0
-        assert quorum["replay_s"] > 0
-        assert quorum["speedup"] > 0
+        assert quorum["seconds"] > 0
 
 
 class TestCli:

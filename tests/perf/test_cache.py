@@ -131,67 +131,6 @@ class TestArtifactCache:
         (tmp_path / "plan" / "k.pkl").write_bytes(b"not a pickle")
         assert cache.get_or_compute("plan", "k", lambda: "fresh") == "fresh"
 
-    def test_validate_rejects_stale_disk_entry(self, tmp_path):
-        """A disk payload the caller's ``validate`` hook rejects is
-        deleted (pickle and sidecar) and recomputed — stale artifact
-        formats never reach a caller."""
-        cache = ArtifactCache(disk_dir=tmp_path)
-        cache.get_or_compute(
-            "plan",
-            "k",
-            lambda: {"version": 1},
-            sidecar=lambda a: {"version": a["version"]},
-        )
-        assert (tmp_path / "plan" / "k.pkl").is_file()
-        assert (tmp_path / "plan" / "k.json").is_file()
-        fresh = ArtifactCache(disk_dir=tmp_path)
-        got = fresh.get_or_compute(
-            "plan",
-            "k",
-            lambda: {"version": 2},
-            sidecar=lambda a: {"version": a["version"]},
-            validate=lambda a: a["version"] == 2,
-        )
-        assert got == {"version": 2}
-        assert fresh.stats.invalidated == 1
-        assert fresh.stats.disk_hits == 0
-        assert fresh.stats.misses == 1
-        # the stale files were replaced by the recomputed artifact
-        import json
-        import pickle
-
-        with (tmp_path / "plan" / "k.pkl").open("rb") as fh:
-            assert pickle.load(fh) == {"version": 2}
-        sidecar = json.loads((tmp_path / "plan" / "k.json").read_text())
-        assert sidecar["version"] == 2
-
-    def test_validate_accepts_good_disk_entry(self, tmp_path):
-        cache = ArtifactCache(disk_dir=tmp_path)
-        cache.get_or_compute("plan", "k", lambda: {"version": 2})
-        fresh = ArtifactCache(disk_dir=tmp_path)
-        got = fresh.get_or_compute(
-            "plan",
-            "k",
-            lambda: pytest.fail("valid entry must hit disk"),
-            validate=lambda a: a["version"] == 2,
-        )
-        assert got == {"version": 2}
-        assert fresh.stats.disk_hits == 1
-        assert fresh.stats.invalidated == 0
-
-    def test_validate_trusts_memory_tier(self):
-        """Memory entries were produced (or already validated) by this
-        process; the hook only guards disk loads."""
-        cache = ArtifactCache()
-        cache.get_or_compute("plan", "k", lambda: "good")
-        got = cache.get_or_compute(
-            "plan",
-            "k",
-            lambda: pytest.fail("memory hit expected"),
-            validate=lambda a: pytest.fail("validate ran on memory tier"),
-        )
-        assert got == "good"
-
     def test_cache_disabled_context(self):
         cache = get_cache()
         cache.get_or_compute("translate", "k", lambda: "x")

@@ -1,5 +1,6 @@
-"""Property-based tests on runtime invariants: event ordering, buffer
-semantics, NIC serialisation, and aggregation correctness."""
+"""Property-based tests on runtime invariants: resource booking, buffer
+semantics, NIC serialisation, iteration timing, and aggregation
+correctness."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,8 +13,9 @@ from repro.runtime import (
     ClusterSimulator,
     ClusterSpec,
     DistributedTrainer,
-    EventLoop,
     Network,
+    NetworkConfig,
+    QuorumConfig,
     Resource,
     assign_roles,
 )
@@ -30,15 +32,6 @@ g[i] = (s - y) * x[i];
 
 
 class TestEventLoopProperties:
-    @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=50))
-    def test_execution_order_sorted(self, times):
-        loop = EventLoop()
-        seen = []
-        for t in times:
-            loop.at(t, (lambda tt: (lambda: seen.append(tt)))(t))
-        loop.run()
-        assert seen == sorted(seen)
-
     @given(
         st.lists(
             st.tuples(
@@ -104,24 +97,21 @@ class TestNetworkProperties:
     def test_shared_receiver_serialises(self, sizes):
         """Total delivery time to one node is at least the wire time of
         all bytes (the sigma NIC is the bottleneck)."""
-        loop = EventLoop()
-        net = Network(loop)
+        net = Network()
         done = 0.0
         for i, nbytes in enumerate(sizes):
             done = max(done, net.send(i + 1, 0, nbytes, 0.0))
-        loop.run()
         wire = sum(sizes) * 8 / net.config.bandwidth_bps
         assert done >= wire
 
     @given(st.integers(min_value=1, max_value=10**7))
     @settings(max_examples=30)
     def test_chunks_conserve_bytes(self, nbytes):
-        loop = EventLoop()
-        net = Network(loop)
-        got = []
-        net.send(0, 1, nbytes, 0.0, on_chunk=lambda t, n: got.append(n))
-        loop.run()
-        assert sum(got) == nbytes
+        net = Network()
+        arrivals = net.book(0, 1, nbytes, 0.0)
+        sizes = net.chunk_sizes(nbytes)
+        assert sum(sizes) == nbytes
+        assert len(arrivals) == len(sizes)
 
 
 class TestTopologyProperties:
@@ -180,6 +170,69 @@ class TestTrainingProperties:
         timing = sim.iteration(nodes * 100)
         assert 0 < timing.total_s < 10
         assert timing.compute_s <= timing.total_s
+
+
+network_configs = st.builds(
+    NetworkConfig,
+    bandwidth_bps=st.sampled_from([1e8, 1e9, 1e10]),
+    latency_s=st.sampled_from([0.0, 5e-6, 50e-6]),
+    per_message_overhead_s=st.sampled_from([0.0, 37e-6, 200e-6]),
+    per_chunk_overhead_s=st.sampled_from([0.0, 5e-6]),
+    chunk_bytes=st.sampled_from([4096, 65536, 100_000]),
+)
+
+quorum_rules = st.one_of(
+    st.none(),
+    st.builds(
+        QuorumConfig,
+        fraction=st.sampled_from([0.3, 0.5, 0.75, 0.9, 1.0]),
+        deadline_s=st.sampled_from([1e-4, 1e-3, 5e-3, 5e-2]),
+    ),
+)
+
+
+@st.composite
+def clusters(draw):
+    """A ClusterSimulator with heterogeneous per-node compute times."""
+    nodes = draw(st.integers(min_value=1, max_value=12))
+    groups = draw(st.integers(min_value=1, max_value=nodes))
+    spec = ClusterSpec(
+        nodes=nodes, groups=groups, network=draw(network_configs)
+    )
+    compute = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=0.05),
+            min_size=nodes,
+            max_size=nodes,
+        )
+    )
+    return ClusterSimulator(
+        spec,
+        lambda node_id, samples: compute[node_id],
+        update_bytes=draw(st.sampled_from([7, 4_096, 100_000, 333_333])),
+    )
+
+
+class TestIterationInvariants:
+    @given(clusters(), quorum_rules)
+    @settings(max_examples=40, deadline=None)
+    def test_window_accounting(self, sim, rule):
+        timing = sim.iteration(1_000, quorum=rule)
+        nodes = [r.node_id for r in sim.topology.roles]
+        assert sorted(timing.contributors + timing.dropped) == sorted(nodes)
+        assert not set(timing.contributors) & set(timing.dropped)
+        if rule is None or rule.fraction == 1.0:
+            assert timing.dropped == []
+        if not timing.dropped:  # everyone's partial was waited for
+            assert timing.total_s >= timing.compute_max_s
+        assert timing.network_s >= 0 and timing.broadcast_s >= 0
+
+    @given(clusters(), st.sampled_from([1e-6, 1e-3, 10.0]))
+    @settings(max_examples=20, deadline=None)
+    def test_full_quorum_is_the_barrier(self, sim, deadline):
+        barrier = sim.iteration(1_000)
+        full = sim.iteration(1_000, quorum=QuorumConfig(1.0, deadline))
+        assert full == barrier
 
 
 class TestChaosProperties:

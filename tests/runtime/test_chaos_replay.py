@@ -1,7 +1,5 @@
-"""Fault-context gating: a faulted cluster must never touch (or
-populate) the healthy-run caches — neither the iteration memo nor the
-``cluster-schedule`` trace cache — and must never go through the
-schedule replayer, whose traces describe only healthy schedules."""
+"""Fault-context gating: a faulted cluster must never read or populate
+the healthy-run iteration memo."""
 
 import numpy as np
 import pytest
@@ -39,8 +37,8 @@ def make_sim(faults=None, nodes=8, groups=2):
     )
 
 
-def schedule_keys():
-    return [k for (k, _) in get_cache()._memory if k == "cluster-schedule"]
+def iteration_keys():
+    return [k for (k, _) in get_cache()._memory if k == "iteration"]
 
 
 class TestFaultContextGating:
@@ -52,62 +50,21 @@ class TestFaultContextGating:
         assert first == second  # still deterministic, just uncached
         assert cache.stats.lookups == 0
         assert len(cache) == 0
-        assert schedule_keys() == []
 
-    def test_faulted_sim_never_replays(self, monkeypatch):
-        import repro.runtime.schedule as schedule_mod
-
-        monkeypatch.setattr(
-            schedule_mod,
-            "replay_iteration",
-            lambda *a, **k: pytest.fail("replay fired for a faulted cluster"),
-        )
-        make_sim(faults=FaultSpec(straggler={1: 2.0})).iteration(8_000)
-
-    def test_cached_healthy_trace_not_replayed_for_faulted_cluster(
-        self, monkeypatch
-    ):
-        """The dangerous ordering: a healthy run populates the schedule
-        cache first, then a faulted clone of the *same* topology runs.
-        The faulted run must re-simulate, not re-time the healthy trace."""
-        import repro.runtime.schedule as schedule_mod
-
+    def test_cached_healthy_trace_not_replayed_for_faulted_cluster(self):
+        """The dangerous ordering: a healthy run populates the memo
+        first, then a faulted clone of the *same* topology runs. The
+        faulted run must be timed afresh, not served the healthy entry."""
         healthy = make_sim()
-        healthy.iteration(8_000)
-        assert len(schedule_keys()) == 1  # trace is sitting right there
-
-        monkeypatch.setattr(
-            schedule_mod,
-            "replay_iteration",
-            lambda *a, **k: pytest.fail("healthy trace replayed for faults"),
-        )
+        fast = healthy.iteration(8_000)
+        assert len(iteration_keys()) == 1  # the healthy entry is there
+        lookups = get_cache().stats.lookups
         faulted = apply_faults(
             healthy, FaultSpec(straggler={1: 3.0}, link_quality={2: 0.5})
         )
         slow = faulted.iteration(8_000)
-        fast = healthy._iteration_uncached(None, [1e-3] * 8)
         assert slow.total_s > fast.total_s
-
-    def test_faulted_quorum_iteration_never_replays(self, monkeypatch):
-        """Quorum iterations replay since format 2 — but only on healthy
-        clusters. A fault context still trumps the quorum replay path."""
-        import repro.runtime.schedule as schedule_mod
-
-        from repro.runtime import QuorumConfig
-
-        monkeypatch.setattr(
-            schedule_mod,
-            "replay_iteration",
-            lambda *a, **k: pytest.fail(
-                "replay fired for a faulted quorum iteration"
-            ),
-        )
-        sim = make_sim(faults=FaultSpec(straggler={1: 5.0}))
-        timing = sim.iteration(
-            8_000, quorum=QuorumConfig(fraction=0.5, deadline_s=1e-3)
-        )
-        assert timing.total_s > 0
-        assert schedule_keys() == []
+        assert get_cache().stats.lookups == lookups
 
     def test_apply_faults_sets_fault_context(self):
         spec = FaultSpec(straggler={1: 2.0})
@@ -135,7 +92,7 @@ g[i] = (s - y) * x[i];
 
 
 class TestChaosTrainInterplay:
-    def _run(self, timeline, monkeypatch=None):
+    def _run(self, timeline):
         nodes, n, N = 4, 4, 64
         rng = np.random.default_rng(3)
         w = rng.normal(size=n)
@@ -144,8 +101,8 @@ class TestChaosTrainInterplay:
         def compute(nid, s):
             return 2e-3
         # Fixed fault-tolerance clocks (roughly one iteration ~ 5 ms);
-        # deriving them from a healthy simulation here would itself go
-        # through the replayer and trip the monkeypatched probes.
+        # deriving them from a healthy simulation here would itself put
+        # an entry in the memo these tests inspect.
         it_s = 5e-3
         config = FaultToleranceConfig(
             heartbeat=HeartbeatConfig(period_s=it_s / 2, timeout_s=2 * it_s),
@@ -165,24 +122,17 @@ class TestChaosTrainInterplay:
             seed=7,
         )
 
-    def test_faulted_chaos_run_never_replays(self, monkeypatch):
-        import repro.runtime.schedule as schedule_mod
-
+    def test_faulted_chaos_run_bypasses_memo(self):
         get_cache().clear()
-        monkeypatch.setattr(
-            schedule_mod,
-            "replay_iteration",
-            lambda *a, **k: pytest.fail("replay fired inside chaos_train"),
-        )
         timeline = FaultTimeline(crashes=(NodeCrash(node_id=3, at_s=0.01),))
         result = self._run(timeline)
         assert result.iterations > 0
-        assert schedule_keys() == []
+        assert iteration_keys() == []
 
-    def test_healthy_chaos_run_may_replay(self):
+    def test_healthy_chaos_run_uses_memo(self):
         """An empty timeline is no fault context; the healthy chaos run
-        goes through the normal cached/replayed path."""
+        goes through the iteration memo."""
         get_cache().clear()
         result = self._run(FaultTimeline())
         assert result.iterations > 0
-        assert len(schedule_keys()) >= 1
+        assert len(iteration_keys()) >= 1

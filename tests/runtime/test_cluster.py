@@ -5,11 +5,16 @@ import pytest
 from repro.runtime import (
     ClusterSimulator,
     ClusterSpec,
+    NetworkConfig,
+    PoolConfig,
+    QuorumConfig,
     ROLE_MASTER_SIGMA,
     ROLE_SIGMA,
     assign_roles,
     default_groups,
 )
+
+NAN, INF = float("nan"), float("inf")
 
 
 class TestDirector:
@@ -115,6 +120,32 @@ class TestIterationTiming:
         with pytest.raises(ValueError):
             ClusterSimulator(ClusterSpec(nodes=2), lambda n, s: 0.0, 0)
 
+    def test_memoized_quorum_iterations_stay_distinct(self):
+        """The iteration memo key carries the quorum rule: two different
+        windows on the same cluster never collide, and a repeat of the
+        same window is served from the memo unchanged."""
+        from repro.perf.cache import get_cache
+
+        compute = [1e-3 * (30.0 if n in (3, 6) else 1.0) for n in range(8)]
+        sim = ClusterSimulator(
+            ClusterSpec(nodes=8, groups=2),
+            lambda node_id, samples: compute[node_id],
+            update_bytes=100_000,
+        )
+        get_cache().clear()
+        try:
+            tight = QuorumConfig(fraction=0.5, deadline_s=1e-4)
+            loose = QuorumConfig(fraction=1.0, deadline_s=10.0)
+            first = sim.iteration(8_000, quorum=tight)
+            again = sim.iteration(8_000, quorum=tight)
+            barrier = sim.iteration(8_000, quorum=loose)
+            assert get_cache().stats.hits == 1
+        finally:
+            get_cache().clear()
+        assert first == again
+        assert first.total_s < barrier.total_s
+        assert first.dropped and not barrier.dropped
+
 
 class TestEpoch:
     def test_epoch_is_iterations_times_iteration(self):
@@ -128,3 +159,39 @@ class TestEpoch:
         fast = sim.epoch_seconds(400_000, minibatch_per_node=100_000)
         slow = sim.epoch_seconds(400_000, minibatch_per_node=500)
         assert fast < slow
+
+
+class TestConfigValidation:
+    """A bad rate, size or deadline is a clean ``ValueError`` naming the
+    field, never a hang (``chunk_bytes=0`` used to loop forever) or a
+    silent fallback (a NaN deadline used to act as zero)."""
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            (NetworkConfig, {"bandwidth_bps": 0.0}),
+            (NetworkConfig, {"bandwidth_bps": -1e9}),
+            (NetworkConfig, {"bandwidth_bps": INF}),
+            (NetworkConfig, {"bandwidth_bps": NAN}),
+            (NetworkConfig, {"chunk_bytes": 0}),
+            (NetworkConfig, {"chunk_bytes": -64}),
+            (NetworkConfig, {"chunk_bytes": 1.5}),
+            (NetworkConfig, {"latency_s": -1e-6}),
+            (NetworkConfig, {"latency_s": NAN}),
+            (NetworkConfig, {"per_message_overhead_s": INF}),
+            (NetworkConfig, {"per_chunk_overhead_s": -1.0}),
+            (PoolConfig, {"copy_bytes_per_s": 0.0}),
+            (PoolConfig, {"copy_bytes_per_s": NAN}),
+            (PoolConfig, {"aggregate_bytes_per_s": -4e9}),
+            (PoolConfig, {"aggregate_bytes_per_s": INF}),
+            (QuorumConfig, {"deadline_s": NAN}),
+            (QuorumConfig, {"deadline_s": INF}),
+            (QuorumConfig, {"deadline_s": 0.0}),
+        ],
+        ids=lambda v: getattr(v, "__name__", None)
+        or "-".join(f"{k}={val!r}" for k, val in v.items()),
+    )
+    def test_bad_value_rejected(self, config, field):
+        (name,) = field
+        with pytest.raises(ValueError, match=name):
+            config(**field)

@@ -2,31 +2,28 @@
 
 import pytest
 
-from repro.runtime import EventLoop, Network, NetworkConfig, RetryPolicy
+from repro.runtime import Network, NetworkConfig, RetryPolicy
 
 
 def make(bandwidth=1e9, chunk=64 * 1024):
-    loop = EventLoop()
-    net = Network(loop, NetworkConfig(bandwidth_bps=bandwidth, chunk_bytes=chunk))
-    return loop, net
+    return Network(NetworkConfig(bandwidth_bps=bandwidth, chunk_bytes=chunk))
 
 
 class TestTransferTime:
     def test_large_message_dominated_by_wire_time(self):
-        loop, net = make()
+        net = make()
         nbytes = 10 * 1024 * 1024  # 10 MB at 1 Gbps ~= 80 ms
         done = net.send(0, 1, nbytes, start=0.0)
-        loop.run()
         assert done == pytest.approx(nbytes * 8 / 1e9, rel=0.1)
 
     def test_higher_bandwidth_faster(self):
-        _, slow = make(bandwidth=1e9)
-        _, fast = make(bandwidth=10e9)
+        slow = make(bandwidth=1e9)
+        fast = make(bandwidth=10e9)
         nbytes = 4 * 1024 * 1024
         assert fast.send(0, 1, nbytes, 0.0) < slow.send(0, 1, nbytes, 0.0)
 
     def test_latency_floor_for_tiny_messages(self):
-        loop, net = make()
+        net = make()
         done = net.send(0, 1, 64, start=0.0)
         cfg = net.config
         assert done >= cfg.latency_s + cfg.per_message_overhead_s
@@ -35,10 +32,10 @@ class TestTransferTime:
 class TestContention:
     def test_receiver_nic_serialises_two_senders(self):
         """Two nodes sending to one sigma take ~2x one sender's time."""
-        loop, net = make()
+        net = make()
         nbytes = 8 * 1024 * 1024
         one = net.send(1, 0, nbytes, 0.0)
-        loop2, net2 = make()
+        net2 = make()
         net2.send(1, 0, nbytes, 0.0)
         two = net2.send(2, 0, nbytes, 0.0)
         assert two > 1.8 * one
@@ -46,10 +43,10 @@ class TestContention:
     def test_distinct_receivers_parallel(self):
         """The switch backplane is non-blocking: different destinations
         do not contend."""
-        loop, net = make()
+        net = make()
         nbytes = 8 * 1024 * 1024
         a = net.send(0, 1, nbytes, 0.0)
-        loop2, net2 = make()
+        net2 = make()
         net2.send(0, 1, nbytes, 0.0)
         # different source, different destination: fully parallel
         b = net2.send(2, 3, nbytes, 0.0)
@@ -57,58 +54,65 @@ class TestContention:
 
     def test_full_duplex(self):
         """TX and RX of one NIC are independent directions."""
-        loop, net = make()
+        net = make()
         nbytes = 8 * 1024 * 1024
         out_done = net.send(0, 1, nbytes, 0.0)
         in_done = net.send(1, 0, nbytes, 0.0)
-        solo = make()[1].send(0, 1, nbytes, 0.0)
+        solo = make().send(0, 1, nbytes, 0.0)
         assert out_done == pytest.approx(solo, rel=0.05)
         assert in_done == pytest.approx(solo, rel=0.05)
 
 
 class TestChunking:
     def test_chunks_delivered_incrementally(self):
-        loop, net = make(chunk=1024)
-        arrivals = []
-        net.send(0, 1, 10 * 1024, 0.0, on_chunk=lambda t, n: arrivals.append((t, n)))
-        loop.run()
+        net = make(chunk=1024)
+        arrivals = net.book(0, 1, 10 * 1024, 0.0)
         assert len(arrivals) == 10
-        times = [t for t, _ in arrivals]
-        assert times == sorted(times)
-        assert sum(n for _, n in arrivals) == 10 * 1024
+        assert arrivals == sorted(arrivals)
+        assert sum(net.chunk_sizes(10 * 1024)) == 10 * 1024
 
     def test_first_chunk_before_message_done(self):
-        loop, net = make(chunk=64 * 1024)
-        first = []
-        done = net.send(
-            0, 1, 4 * 1024 * 1024, 0.0, on_chunk=lambda t, n: first.append(t)
-        )
-        loop.run()
-        assert first[0] < done / 4
+        net = make(chunk=64 * 1024)
+        first = net.book(0, 1, 4 * 1024 * 1024, 0.0)[0]
+        done = make(chunk=64 * 1024).send(0, 1, 4 * 1024 * 1024, 0.0)
+        assert first < done / 4
 
-    def test_on_done_fires_at_completion(self):
-        loop, net = make()
-        done_times = []
-        reported = net.send(0, 1, 256 * 1024, 0.0, on_done=done_times.append)
-        loop.run()
-        assert done_times == [reported]
+    def test_send_returns_last_chunk_arrival(self):
+        booked = make().book(0, 1, 256 * 1024, 0.0)
+        assert make().send(0, 1, 256 * 1024, 0.0) == booked[-1]
+
+    def test_uneven_last_chunk(self):
+        net = make(chunk=100_000)
+        assert net.chunk_sizes(333_333) == [100_000] * 3 + [33_333]
+        assert net.chunk_sizes(7) == [7]
+
+    def test_clone_is_independent(self):
+        net = make()
+        net.send(0, 1, 100_000, 0.0)
+        copy = net.clone()
+        copy.send(2, 1, 100_000, 0.0)
+        assert copy.messages_sent == 2 and net.messages_sent == 1
+        assert copy.rx_busy_seconds(1) > net.rx_busy_seconds(1)
+        # The clone's extra booking queues on node 1's RX; the original's
+        # does not see it.
+        assert copy.send(3, 1, 100_000, 0.0) > net.send(3, 1, 100_000, 0.0)
 
 
 class TestAccounting:
     def test_bytes_and_messages_counted(self):
-        loop, net = make()
+        net = make()
         net.send(0, 1, 1000, 0.0)
         net.send(1, 2, 2000, 0.0)
         assert net.bytes_sent == 3000
         assert net.messages_sent == 2
 
     def test_rejects_loopback(self):
-        _, net = make()
+        net = make()
         with pytest.raises(ValueError):
             net.send(0, 0, 100, 0.0)
 
     def test_rejects_empty(self):
-        _, net = make()
+        net = make()
         with pytest.raises(ValueError):
             net.send(0, 1, 0, 0.0)
 
@@ -139,9 +143,9 @@ class TestRetryPolicy:
 
 class TestSendReliable:
     def test_reachable_peer_sends_immediately(self):
-        loop, net = make()
+        net = make()
         plain = net.send(0, 1, 10_000, start=0.0)
-        _, net2 = make()
+        net2 = make()
         reliable = net2.send_reliable(
             0, 1, 10_000, start=0.0, reachable=lambda t: True
         )
@@ -150,7 +154,7 @@ class TestSendReliable:
         assert net2.messages_failed == 0
 
     def test_backoff_until_peer_returns(self):
-        loop, net = make()
+        net = make()
         policy = RetryPolicy(timeout_s=0.1, max_retries=3, backoff=2.0)
         # Peer comes back at t=0.25: attempts at 0, 0.1, 0.3 succeed on
         # the third try, after two timeouts (0.1 + 0.2) of backoff.
@@ -164,7 +168,7 @@ class TestSendReliable:
         assert net.messages_failed == 0
 
     def test_gives_up_on_dead_peer(self):
-        loop, net = make()
+        net = make()
         policy = RetryPolicy(timeout_s=0.1, max_retries=2, backoff=2.0)
         done = net.send_reliable(
             0, 1, 10_000, start=0.0,

@@ -1,27 +1,18 @@
-"""Schedule recording, trace caching, and the replay gating rules."""
-
-import dataclasses
+"""The send plan and how ``ClusterSimulator.iteration`` reaches the
+timing engine."""
 
 import pytest
 
-from repro.perf.cache import cache_disabled, get_cache
+from repro.perf.cache import get_cache
 from repro.runtime import (
     ClusterSimulator,
     ClusterSpec,
     QuorumConfig,
+    rebuild_topology,
     record_schedule,
-    replay_disabled,
-    replay_enabled,
     replay_iteration,
 )
-from repro.runtime.schedule import (
-    GATHER_PHASE,
-    REDUCE_PHASE,
-    SCHEDULE_FORMAT,
-    ScheduleRecorder,
-    schedule_cache_key,
-    trace_sidecar,
-)
+from repro.runtime.schedule import replay_enabled
 
 
 @pytest.fixture(autouse=True)
@@ -42,198 +33,40 @@ def make_sim(nodes=8, groups=2, update_bytes=100_000, compute=1e-3):
 class TestRecording:
     def test_trace_structure_matches_topology(self):
         sim = make_sim(nodes=9, groups=3, update_bytes=12_345)
-        trace = record_schedule(sim)
+        plan = record_schedule(sim.topology, sim.update_bytes)
         topo = sim.topology
-        deltas = topo.nodes - len(topo.sigmas())
-        assert trace.format_version == SCHEDULE_FORMAT
-        assert trace.nodes == 9
-        assert trace.groups == 3
-        assert trace.update_bytes == 12_345
-        # gather: every delta to its sigma; reduce: every non-master
-        # sigma to the master; broadcast: master->sigmas + sigma->deltas.
-        assert len(trace.gather_sends) == deltas
-        assert len(trace.reduce_sends) == len(topo.sigmas()) - 1
-        assert len(trace.broadcast_sends) == (
-            len(topo.sigmas()) - 1
-        ) + deltas
-        assert trace.wire_messages == (
-            len(trace.gather_sends)
-            + len(trace.reduce_sends)
-            + len(trace.broadcast_sends)
-        )
-        assert all(nb == 12_345 for _, _, nb in trace.gather_sends)
-        assert trace.topology().roles == list(topo.roles)
+        assert plan.update_bytes == 12_345
+        assert plan.node_ids == tuple(r.node_id for r in topo.roles)
+        assert plan.master == topo.master.node_id
+        assert plan.sigmas == tuple(s.node_id for s in topo.sigmas())
+        for sigma, deltas in zip(plan.sigmas, plan.deltas):
+            assert deltas == tuple(r.node_id for r in topo.deltas_of(sigma))
 
     def test_single_node_trace_is_empty(self):
-        trace = record_schedule(make_sim(nodes=1, groups=1))
-        assert trace.wire_messages == 0
-        assert trace.arrival_points == ()
+        plan = record_schedule(make_sim(nodes=1, groups=1).topology, 10)
+        assert plan.sigmas == (0,)
+        assert plan.deltas == ((),)
 
-    def test_arrival_points_cover_every_aggregation_point(self):
-        sim = make_sim(nodes=9, groups=3, update_bytes=200_000)
-        trace = record_schedule(sim)
-        topo = sim.topology
-        gather = trace.points_for(GATHER_PHASE)
-        reduce_ = trace.points_for(REDUCE_PHASE)
-        # One gather point per sigma with deltas, one reduce point at the
-        # master, and nothing else.
-        assert len(trace.arrival_points) == len(gather) + len(reduce_)
-        assert {p.node_id for p in gather} == {
-            s.node_id for s in topo.sigmas()
-        }
-        (master_point,) = reduce_
-        assert master_point.node_id == topo.master.node_id
-        master_id = topo.master.node_id
-        assert sorted(master_point.senders) == sorted(
-            s.node_id for s in topo.sigmas() if s.node_id != master_id
-        )
-        for point in gather:
-            sigma = next(
-                s for s in topo.sigmas() if s.node_id == point.node_id
-            )
-            expected = {
-                r.node_id
-                for r in topo.roles
-                if r.group == sigma.group and r.node_id != sigma.node_id
-            }
-            assert set(point.senders) == expected
+    def test_plan_follows_a_reformed_hierarchy(self):
+        """After failover the master need not be the first Sigma, and
+        Deltas report to promoted Sigmas."""
+        base = make_sim(nodes=16, groups=4).topology
+        alive = [n for n in range(16) if n not in (0, 4)]
+        topo = rebuild_topology(base, alive, prefer_master=8)
+        plan = record_schedule(topo, 100)
+        assert plan.master == topo.master.node_id
+        assert plan.master != plan.sigmas[0]
+        for sigma, deltas in zip(plan.sigmas, plan.deltas):
+            assert deltas == tuple(r.node_id for r in topo.deltas_of(sigma))
 
-    def test_arrival_point_chunks_match_recorded_bookings(self):
-        import math
-
-        sim = make_sim(nodes=6, groups=2, update_bytes=200_000)
-        trace = record_schedule(sim)
-        chunk_bytes = sim.spec.network.chunk_bytes
-        for point in trace.arrival_points:
-            for src, count, arrivals, tx_starts in zip(
-                point.senders,
-                point.chunk_counts,
-                point.recorded_arrivals,
-                point.recorded_tx_starts,
-            ):
-                nbytes = next(
-                    nb
-                    for s, d, nb in (
-                        trace.gather_sends + trace.reduce_sends
-                    )
-                    if s == src and d == point.node_id
-                )
-                assert count == math.ceil(nbytes / chunk_bytes)
-                assert len(arrivals) == count
-                assert len(tx_starts) == count
-                assert list(arrivals) == sorted(arrivals)
-                # every chunk lands after its TX chain started
-                assert all(a > t for a, t in zip(arrivals, tx_starts))
-
-    def test_arrival_point_senders_ordered_by_completion(self):
-        trace = record_schedule(make_sim(nodes=8, groups=2))
-        for point in trace.arrival_points:
-            finals = [a[-1] for a in point.recorded_arrivals]
-            assert finals == sorted(finals)
-
-    def test_sidecar_is_json_serialisable(self):
-        import json
-
-        trace = record_schedule(make_sim())
-        payload = json.loads(json.dumps(trace_sidecar(trace)))
-        assert payload["nodes"] == 8
-        assert len(payload["gather_sends"]) == len(trace.gather_sends)
-        assert len(payload["arrival_points"]) == len(trace.arrival_points)
-        assert {p["phase"] for p in payload["arrival_points"]} <= {
-            "gather",
-            "reduce",
-        }
-
-    def test_cache_key_tracks_schedule_inputs(self):
-        a, b = make_sim(nodes=8, groups=2), make_sim(nodes=8, groups=4)
-        assert schedule_cache_key(
-            a.topology, a.update_bytes
-        ) != schedule_cache_key(b.topology, b.update_bytes)
-        assert schedule_cache_key(
-            a.topology, 100_000
-        ) != schedule_cache_key(a.topology, 200_000)
-
-    def test_recorder_rejects_send_before_phase(self):
-        recorder = ScheduleRecorder()
-        with pytest.raises(RuntimeError, match="before the first phase"):
-            recorder.on_send(0, 1, 100, 0.0, 1)
-
-    def test_recorder_rejects_extra_phases(self):
-        recorder = ScheduleRecorder()
-        for _ in range(3):
-            recorder.on_phase()
-        with pytest.raises(RuntimeError, match="more than 3"):
-            recorder.on_phase()
-
-
-class TestTraceCaching:
-    def test_trace_recorded_once_across_minibatches(self, monkeypatch):
-        import repro.runtime.schedule as schedule_mod
-
-        recordings = []
-        real = schedule_mod.record_schedule
-        monkeypatch.setattr(
-            schedule_mod,
-            "record_schedule",
-            lambda sim: recordings.append(1) or real(sim),
-        )
-        sim = make_sim()
-        sim.iteration(8_000)
-        sim.iteration(16_000)
-        sim.iteration(24_000)
-        assert len(recordings) == 1
-        keys = [k for (k, _) in get_cache()._memory if k == "cluster-schedule"]
-        assert len(keys) == 1
-
-    def test_stale_disk_trace_invalidated_and_rerecorded(self, tmp_path):
-        """A persisted trace whose format predates this replayer is
-        deleted on load (the ``validate=`` hook) and re-recorded — it
-        must never reach ``replay_iteration``."""
-        cache = get_cache()
-        cache.disk_dir = tmp_path
-        try:
-            sim = make_sim()
-            stale = dataclasses.replace(
-                record_schedule(sim), format_version=SCHEDULE_FORMAT - 1
-            )
-            key = schedule_cache_key(sim.topology, sim.update_bytes)
-            cache.get_or_compute("cluster-schedule", key, lambda: stale)
-            cache.clear()  # drop the memory tier; the stale pickle stays
-            timing = sim.iteration(8_000)
-            assert timing.total_s > 0
-            assert cache.stats.invalidated == 1
-            fresh = cache.get_or_compute(
-                "cluster-schedule", key, lambda: pytest.fail("not re-stored")
-            )
-            assert fresh.format_version == SCHEDULE_FORMAT
-        finally:
-            cache.disk_dir = None
-
-    def test_mismatched_cached_trace_is_rejected(self):
-        sim = make_sim(update_bytes=100_000)
-        wrong = record_schedule(make_sim(update_bytes=999))
-        key = schedule_cache_key(sim.topology, sim.update_bytes)
-        get_cache().get_or_compute("cluster-schedule", key, lambda: wrong)
-        with pytest.raises(RuntimeError, match="different cluster"):
-            sim.iteration(8_000)
+    def test_replay_enabled_is_constant(self):
+        assert replay_enabled() is True
 
 
 class TestReplayGating:
-    def test_kill_switch_forces_event_driven(self, monkeypatch):
-        import repro.runtime.schedule as schedule_mod
-
-        monkeypatch.setattr(
-            schedule_mod,
-            "replay_iteration",
-            lambda *a, **k: pytest.fail("replay fired with the kill switch"),
-        )
-        monkeypatch.setenv("REPRO_SCHEDULE_REPLAY", "0")
-        timing = make_sim().iteration(8_000)
-        assert timing.total_s > 0
-
     def test_quorum_iterations_replay(self, monkeypatch):
-        """Since format 2 the quorum gate is lifted: a quorum iteration
-        goes through the replayer (and receives the quorum rule)."""
+        """A quorum iteration goes through the engine, which receives the
+        quorum rule."""
         import repro.runtime.schedule as schedule_mod
 
         calls = []
@@ -248,76 +81,32 @@ class TestReplayGating:
         assert timing.total_s > 0
         assert calls == [rule]
 
-    def test_kill_switch_covers_quorum_iterations(self, monkeypatch):
-        import repro.runtime.schedule as schedule_mod
-
-        monkeypatch.setattr(
-            schedule_mod,
-            "replay_iteration",
-            lambda *a, **k: pytest.fail("replay fired with the kill switch"),
-        )
-        monkeypatch.setenv("REPRO_SCHEDULE_REPLAY", "0")
-        timing = make_sim().iteration(
-            8_000, quorum=QuorumConfig(fraction=0.5)
-        )
-        assert timing.total_s > 0
-
-    def test_replay_enabled_env_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCHEDULE_REPLAY", raising=False)
-        assert replay_enabled()
-        for off in ("0", "false", "FALSE"):
-            monkeypatch.setenv("REPRO_SCHEDULE_REPLAY", off)
-            assert not replay_enabled()
-        monkeypatch.setenv("REPRO_SCHEDULE_REPLAY", "1")
-        assert replay_enabled()
-
-    def test_replay_disabled_restores_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULE_REPLAY", "1")
-        with replay_disabled():
-            assert not replay_enabled()
-        assert replay_enabled()
-        monkeypatch.delenv("REPRO_SCHEDULE_REPLAY")
-        with replay_disabled():
-            assert not replay_enabled()
-        import os
-
-        assert "REPRO_SCHEDULE_REPLAY" not in os.environ
-
 
 class TestReplayValidation:
-    def test_format_version_mismatch_rejected(self):
-        sim = make_sim()
-        trace = record_schedule(sim)
-        stale = dataclasses.replace(trace, format_version=SCHEDULE_FORMAT + 1)
-        with pytest.raises(RuntimeError, match="re-record"):
-            replay_iteration(stale, sim.spec, [1e-3] * 8)
-
     def test_compute_times_length_checked(self):
         sim = make_sim(nodes=4, groups=2)
-        trace = record_schedule(sim)
+        plan = record_schedule(sim.topology, sim.update_bytes)
         with pytest.raises(ValueError, match="compute times"):
-            replay_iteration(trace, sim.spec, [1e-3] * 3)
+            replay_iteration(plan, sim.spec, [1e-3] * 3)
 
 
 class TestEndToEnd:
-    def test_epoch_seconds_identical_with_and_without_replay(self):
-        sim = make_sim(nodes=6, groups=2)
-        with replay_disabled(), cache_disabled():
-            reference = sim.epoch_seconds(10_000, 128)
-        get_cache().clear()
-        assert sim.epoch_seconds(10_000, 128) == reference
-
     def test_replay_used_on_the_cached_path(self, monkeypatch):
-        """Positive control for the gating tests: on the healthy cached
-        path the replayer genuinely is the engine that runs."""
+        """``iteration`` looks both engine functions up on the module at
+        call time, so wrappers installed there see every memo miss."""
         import repro.runtime.schedule as schedule_mod
 
         calls = []
-        real = schedule_mod.replay_iteration
-        monkeypatch.setattr(
-            schedule_mod,
-            "replay_iteration",
-            lambda *a, **k: calls.append(1) or real(*a, **k),
-        )
-        make_sim().iteration(8_000)
-        assert len(calls) == 1
+        for name in ("record_schedule", "replay_iteration"):
+            real = getattr(schedule_mod, name)
+            monkeypatch.setattr(
+                schedule_mod,
+                name,
+                lambda *a, _real=real, _name=name, **k: (
+                    calls.append(_name) or _real(*a, **k)
+                ),
+            )
+        sim = make_sim()
+        sim.iteration(8_000)
+        sim.iteration(8_000)  # a memo hit
+        assert calls == ["record_schedule", "replay_iteration"]

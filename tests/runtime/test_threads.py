@@ -114,3 +114,29 @@ class TestSigmaPipeline:
             return finish
 
         assert run(fast) < run(slow)
+
+    def test_batch_matches_chunk_by_chunk(self):
+        """``on_chunks`` is the batched form of ``on_chunk``: same finish
+        times, same pool, buffer and pipeline state, stalls included."""
+        cfg = PoolConfig(copy_bytes_per_s=5e9, aggregate_bytes_per_s=5e7)
+        arrivals = [i * 1e-5 for i in range(200)]
+        sizes = [64 * 1024] * 199 + [1000]
+        one, batch = SigmaPipeline(cfg), SigmaPipeline(cfg)
+        singles = [one.on_chunk(t, n) for t, n in zip(arrivals, sizes)]
+        assert batch.on_chunks(arrivals, sizes) == singles
+        assert one.buffer.stall_seconds > 0
+
+        def state(pipe):
+            workers = pipe.networking._workers + pipe.aggregation._workers
+            buf = pipe.buffer
+            return (
+                [(w.free_at, w.busy_seconds) for w in workers],
+                sorted(buf._occupied),
+                buf.used_bytes,
+                buf.peak_used,
+                buf.stall_seconds,
+                pipe.drained_at,
+                pipe.bytes_aggregated,
+            )
+
+        assert state(batch) == state(one)
