@@ -271,11 +271,11 @@ def measure_quorum_sweep(quick: bool = False) -> Dict[str, object]:
     }
 
 
-def measure_tier1(root: Optional[Path] = None) -> float:
+def measure_tier1() -> float:
     """Wall time of the tier-1 suite (``python -m pytest -x -q``), run
     in a child process from the repository root. Raises
     :class:`RuntimeError` if the suite fails or is not there."""
-    root = Path(root) if root is not None else Path(__file__).parents[3]
+    root = Path(__file__).resolve().parents[3]
     if not (root / "tests").is_dir():
         raise RuntimeError(f"no tests/ directory under {root}")
     env = dict(os.environ)
@@ -289,6 +289,7 @@ def measure_tier1(root: Optional[Path] = None) -> float:
         env=env,
         capture_output=True,
         text=True,
+        timeout=1800,
     )
     seconds = time.perf_counter() - start
     if done.returncode != 0:

@@ -113,6 +113,8 @@ class Network:
 
     def __init__(self, config: NetworkConfig = NetworkConfig()):
         self.config = config
+        #: Per node: when its TX and RX sides are next free, and the
+        #: seconds its RX side has been busy.
         self.tx_free: Dict[int, float] = {}
         self.rx_free: Dict[int, float] = {}
         self.rx_busy: Dict[int, float] = {}
@@ -139,10 +141,6 @@ class Network:
     def chunk_sizes(self, nbytes: int) -> List[int]:
         """Chunk sizes of one message: full chunks, then the remainder."""
         return list(self._plan(nbytes)[0])
-
-    def rx_busy_seconds(self, node_id: int) -> float:
-        """Seconds the node's receive side has been occupied."""
-        return self.rx_busy.get(node_id, 0.0)
 
     def _plan(self, nbytes: int) -> tuple:
         plan = self._plans.get(nbytes)

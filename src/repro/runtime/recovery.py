@@ -215,7 +215,7 @@ def chaos_train(
         key = tuple(sorted(topology.roles, key=lambda r: r.node_id))
         if key not in timing_cache:
             # The timeline is this run's fault context: it keeps the
-            # chaos iterations out of the healthy memo/schedule caches.
+            # chaos iterations out of the healthy iteration memo.
             sim = ClusterSimulator(
                 spec,
                 compute_seconds,

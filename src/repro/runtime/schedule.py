@@ -25,7 +25,7 @@ the repository benchmark traces them as the ``schedule`` layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cluster
 from .director import ROLE_DELTA, ROLE_MASTER_SIGMA, Topology
@@ -125,10 +125,10 @@ def _feed(
 
 def replay_iteration(
     plan: SendPlan,
-    spec,
+    spec: cluster.ClusterSpec,
     compute_times: Sequence[float],
-    quorum=None,
-):
+    quorum: Optional[cluster.QuorumConfig] = None,
+) -> cluster.IterationTiming:
     """Time one iteration of ``plan``; returns an :class:`IterationTiming`.
 
     ``compute_times`` holds each node's accelerator seconds, in role
@@ -196,12 +196,12 @@ def replay_iteration(
 
     # Phase 3: group aggregates converge on the master (same window rule).
     others = [s for s in plan.sigmas if s != master]
-    reduce = sorted((group_done[s], s, master) for s in others)
+    upward = sorted((group_done[s], s, master) for s in others)
 
     def run_reduce(network, skip):
         pipe = SigmaPipeline(spec.pools)
         own_master = pipe.fold_local(group_done[master], ub)
-        sends = [send for send in reduce if send[1] not in skip]
+        sends = [send for send in upward if send[1] not in skip]
         return pipe, own_master, _feed(network, sends, {master: pipe}, ub)
 
     def close_master(own_master, done, skip):
@@ -253,7 +253,7 @@ def replay_iteration(
         management_s=2 * management,
         wire_bytes=network.bytes_sent,
         wire_messages=network.messages_sent,
-        sigma_rx_busy_s=sum(network.rx_busy_seconds(s) for s in plan.sigmas),
+        sigma_rx_busy_s=sum(network.rx_busy.get(s, 0.0) for s in plan.sigmas),
         sigma_count=len(plan.sigmas),
         contributors=contributors,
         dropped=dropped,

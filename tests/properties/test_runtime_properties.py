@@ -32,6 +32,8 @@ g[i] = (s - y) * x[i];
 
 
 class TestEventLoopProperties:
+    """Booking on the serially reusable ``Resource`` behind the pools."""
+
     @given(
         st.lists(
             st.tuples(

@@ -92,7 +92,7 @@ class TestChunking:
         copy = net.clone()
         copy.send(2, 1, 100_000, 0.0)
         assert copy.messages_sent == 2 and net.messages_sent == 1
-        assert copy.rx_busy_seconds(1) > net.rx_busy_seconds(1)
+        assert copy.rx_busy[1] > net.rx_busy[1]
         # The clone's extra booking queues on node 1's RX; the original's
         # does not see it.
         assert copy.send(3, 1, 100_000, 0.0) > net.send(3, 1, 100_000, 0.0)

@@ -116,14 +116,31 @@ class TestSigmaPipeline:
         assert run(fast) < run(slow)
 
     def test_batch_matches_chunk_by_chunk(self):
-        """``on_chunks`` is the batched form of ``on_chunk``: same finish
-        times, same pool, buffer and pipeline state, stalls included."""
+        """``on_chunks`` is the batched form of the per-chunk pipeline:
+        dispatch a copy, reserve buffer space, dispatch the fold. Same
+        finish times and the same pool, buffer and pipeline state, buffer
+        stalls included."""
         cfg = PoolConfig(copy_bytes_per_s=5e9, aggregate_bytes_per_s=5e7)
         arrivals = [i * 1e-5 for i in range(200)]
         sizes = [64 * 1024] * 199 + [1000]
+
+        def reference(pipe, arrival, nbytes):
+            copy_s = nbytes / cfg.copy_bytes_per_s
+            agg_s = nbytes / cfg.aggregate_bytes_per_s
+            copy_done = pipe.networking.dispatch(
+                arrival + cfg.wakeup_overhead_s, copy_s
+            )
+            reserved = pipe.buffer.reserve(
+                copy_done - copy_s, nbytes, copy_done + agg_s
+            )
+            agg_done = pipe.aggregation.dispatch(reserved + copy_s, agg_s)
+            pipe._aggregated_until = max(pipe._aggregated_until, agg_done)
+            pipe.bytes_aggregated += nbytes
+            return agg_done
+
         one, batch = SigmaPipeline(cfg), SigmaPipeline(cfg)
-        singles = [one.on_chunk(t, n) for t, n in zip(arrivals, sizes)]
-        assert batch.on_chunks(arrivals, sizes) == singles
+        expected = [reference(one, t, n) for t, n in zip(arrivals, sizes)]
+        assert batch.on_chunks(arrivals, sizes) == expected
         assert one.buffer.stall_seconds > 0
 
         def state(pipe):
@@ -140,3 +157,7 @@ class TestSigmaPipeline:
             )
 
         assert state(batch) == state(one)
+        single = SigmaPipeline(cfg)
+        assert [
+            single.on_chunk(t, n) for t, n in zip(arrivals, sizes)
+        ] == expected
