@@ -15,7 +15,9 @@
   :class:`ExperimentResult` rows and records the speedups.
 
 A third leg (:func:`measure_quorum_sweep`) times a graceful-degradation
-study: a quorum fraction x deadline grid on a 16-node straggler cluster.
+study: a quorum fraction x deadline grid on a 16-node straggler cluster,
+through the iteration memo and with it bypassed, and asserts the rows
+are identical.
 With ``--tier1``, the harness also times the tier-1 test suite in a
 child process (``tier1_wall_s``).
 
@@ -235,9 +237,14 @@ def measure_figure_sweep(quick: bool = False) -> Dict[str, float]:
 
 def measure_quorum_sweep(quick: bool = False) -> Dict[str, object]:
     """Time a quorum study: a fraction x deadline grid on a 16-node
-    straggler cluster, one iteration per grid point, from a cleared
-    cache."""
-    from ..perf.cache import get_cache
+    straggler cluster, one iteration per grid point.
+
+    The grid runs twice: with the artifact cache bypassed (the
+    reference) and through the iteration memo from a cleared cache.
+    Raises :class:`AssertionError` if any point's timing differs, which
+    is what a memo key that lost the quorum rule would cause.
+    """
+    from ..perf.cache import cache_disabled, get_cache
     from ..runtime import ClusterSimulator, ClusterSpec, QuorumConfig
 
     fractions = (0.5, 1.0) if quick else (0.5, 0.75, 0.9, 1.0)
@@ -256,18 +263,32 @@ def measure_quorum_sweep(quick: bool = False) -> Dict[str, object]:
         for f in fractions
         for d in deadlines
     ]
+    def run_grid():
+        return [sim.iteration(16_000, quorum=rule) for rule in grid]
+
     cache = get_cache()
     cache.clear()
+    with cache_disabled():
+        start = time.perf_counter()
+        reference = run_grid()
+        uncached_s = time.perf_counter() - start
     start = time.perf_counter()
-    for rule in grid:
-        sim.iteration(16_000, quorum=rule)
+    memoized = run_grid()
     seconds = time.perf_counter() - start
     cache.clear()
+    for rule, want, got in zip(grid, reference, memoized):
+        if want != got:
+            raise AssertionError(
+                f"memoized quorum iteration diverges from the uncached one "
+                f"at fraction={rule.fraction} deadline_s={rule.deadline_s}"
+            )
     return {
         "points": len(grid),
         "fractions": list(fractions),
         "deadlines_s": list(deadlines),
+        "uncached_s": round(uncached_s, 6),
         "seconds": round(seconds, 6),
+        "rows_identical": True,
     }
 
 
@@ -369,6 +390,11 @@ def compare_to_baseline(
         )
     if not current.sweep.get("rows_identical", False):
         problems.append("figure-sweep rows are not identical across paths")
+    if current.quorum and not current.quorum.get("rows_identical", False):
+        problems.append(
+            "quorum-sweep rows are not identical with and without the "
+            "iteration memo"
+        )
     now, base = current.tier1_wall_s, baseline.tier1_wall_s
     if now is not None and base is not None and now > base * tolerance:
         problems.append(
@@ -417,6 +443,10 @@ def render_report(report: PerfReport) -> str:
             f"{len(quorum['deadlines_s'])} deadlines)"
         )
         lines.append(f"  wall time        {quorum['seconds']:.3f}s")
+        lines.append(
+            "  rows identical   "
+            + ("yes" if quorum.get("rows_identical") else "NO")
+        )
     if report.tier1_wall_s is not None:
         lines.append("")
         lines.append(f"== perf: tier-1 suite {report.tier1_wall_s:.1f}s ==")

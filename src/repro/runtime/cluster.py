@@ -164,6 +164,9 @@ class ClusterSimulator:
         self._compute_seconds = compute_seconds
         self.update_bytes = update_bytes
         self.faults = faults
+        # (topology, send plan) of the last memo miss; the plan depends
+        # on nothing else, so later minibatches reuse it.
+        self._plan = None
 
     def with_topology(self, topology: Topology) -> "ClusterSimulator":
         """The same cluster model over a re-formed hierarchy."""
@@ -235,12 +238,16 @@ class ClusterSimulator:
         quorum: Optional[QuorumConfig],
         compute_times: List[float],
     ) -> IterationTiming:
-        """Build the send plan and time it. Both functions are looked up
-        on the module at call time, so wrappers installed there see
-        every call."""
-        plan = schedule.record_schedule(self.topology, self.update_bytes)
+        """Time the send plan of this topology. The plan is built once
+        per simulator and topology. Both functions are looked up on the
+        module at call time, so wrappers installed there see every call."""
+        if self._plan is None or self._plan[0] is not self.topology:
+            self._plan = (
+                self.topology,
+                schedule.record_schedule(self.topology, self.update_bytes),
+            )
         return schedule.replay_iteration(
-            plan, self.spec, compute_times, quorum=quorum
+            self._plan[1], self.spec, compute_times, quorum=quorum
         )
 
     def epoch_seconds(

@@ -35,7 +35,9 @@ def _report(stages=None, sweep=None, quorum=None):
             "points": 4,
             "fractions": [0.5, 1.0],
             "deadlines_s": [0.001, 0.02],
+            "uncached_s": 0.01,
             "seconds": 0.01,
+            "rows_identical": True,
         },
         tier1_wall_s=20.0,
         quick=True,
@@ -75,6 +77,11 @@ class TestComparator:
             _report(sweep=bad_sweep), _report()
         )
         assert any("identical" in p for p in problems)
+
+    def test_divergent_quorum_rows_flagged(self):
+        bad = dict(_report().quorum, rows_identical=False)
+        problems = compare_to_baseline(_report(quorum=bad), _report())
+        assert any("quorum" in p for p in problems)
 
     def test_slower_tier1_flagged(self):
         slow = _report()
@@ -135,9 +142,11 @@ class TestHarness:
         assert sweep["serial_uncached_s"] > 0
         assert sweep["warm_speedup"] > 1.0
 
-    def test_quorum_sweep_shape(self):
+    def test_quorum_sweep_rows_identical(self):
         get_cache().clear()
         quorum = measure_quorum_sweep(quick=True)
+        assert quorum["rows_identical"] is True
+        assert quorum["uncached_s"] > 0
         assert quorum["points"] == len(quorum["fractions"]) * len(
             quorum["deadlines_s"]
         )

@@ -1,44 +1,40 @@
-"""Differential property suite for quorum-window replay (format 2).
+"""Property suite for the timing engine's quorum windows.
 
-The contract: for any healthy cluster and any :class:`QuorumConfig`,
-replaying the recorded :class:`ScheduleTrace` with the quorum rule
-evaluated on the booked arrival arrays is *bit-identical* to the full
-event-driven probe/withhold simulation — every field of
-:class:`IterationTiming`, including ``contributors`` and ``dropped``,
-compared with ``==``, no tolerances. The edge cases the window rule can
-hit are pinned deterministically: drop-none (``fraction=1.0`` degenerates
-to the barrier), drop-all-but-K (a tiny deadline), and a deadline landing
-exactly on an arrival.
+With a :class:`QuorumConfig`, the engine closes each window on the
+booked arrivals and, when a window drops a partial, books that phase
+again without the dropped sends. The contracts under test, every
+:class:`IterationTiming` field (``contributors`` and ``dropped``
+included) compared with ``==``:
+
+* the engine reproduces the quorum timings the per-chunk event-driven
+  simulator produced, as captured in
+  ``tests/runtime/golden_iterations.json``;
+* the public, memoized path agrees with calling the engine directly.
+
+The edge cases the window rule can hit are pinned deterministically:
+drop-none (``fraction=1.0`` degenerates to the barrier),
+drop-all-but-K (a tiny deadline), and a deadline landing exactly on an
+arrival.
 """
-
-import dataclasses
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.runtime.cluster as cluster_mod
-from repro.perf.cache import cache_disabled, get_cache
+from repro.perf.cache import get_cache
 from repro.runtime import (
     ClusterSimulator,
     ClusterSpec,
-    IterationTiming,
-    NetworkConfig,
     QuorumConfig,
     record_schedule,
-    replay_disabled,
     replay_iteration,
 )
-
-network_configs = st.builds(
-    NetworkConfig,
-    bandwidth_bps=st.sampled_from([1e8, 1e9, 1e10]),
-    latency_s=st.sampled_from([0.0, 5e-6, 50e-6]),
-    per_message_overhead_s=st.sampled_from([0.0, 37e-6, 200e-6]),
-    per_chunk_overhead_s=st.sampled_from([0.0, 5e-6]),
-    chunk_bytes=st.sampled_from([4096, 65536, 100_000]),
+from tests.properties.test_schedule_replay import (
+    assert_bit_identical,
+    clusters,
+    replay_golden_case,
 )
-
-update_sizes = st.sampled_from([7, 4_096, 65_536, 100_000, 333_333])
+from tests.runtime.test_golden_iterations import CASES, timing_reprs
 
 # Fractions cross the K=1, intermediate-K, and K=N regimes; deadlines
 # range from certainly-dropping (0.1 ms) to certainly-waiting (50 ms,
@@ -48,38 +44,6 @@ quorum_rules = st.builds(
     fraction=st.sampled_from([0.3, 0.5, 0.75, 0.9, 1.0]),
     deadline_s=st.sampled_from([1e-4, 1e-3, 5e-3, 5e-2]),
 )
-
-
-@st.composite
-def clusters(draw):
-    """A ClusterSimulator plus heterogeneous per-node compute times."""
-    nodes = draw(st.integers(min_value=1, max_value=12))
-    groups = draw(st.integers(min_value=1, max_value=nodes))
-    spec = ClusterSpec(
-        nodes=nodes, groups=groups, network=draw(network_configs)
-    )
-    compute = draw(
-        st.lists(
-            st.floats(min_value=0.0, max_value=0.05),
-            min_size=nodes,
-            max_size=nodes,
-        )
-    )
-    sim = ClusterSimulator(
-        spec,
-        lambda node_id, samples: compute[node_id],
-        update_bytes=draw(update_sizes),
-    )
-    return sim, compute
-
-
-def assert_bit_identical(a: IterationTiming, b: IterationTiming, label: str):
-    for f in dataclasses.fields(IterationTiming):
-        left, right = getattr(a, f.name), getattr(b, f.name)
-        assert left == right, (
-            f"{label}: IterationTiming.{f.name} diverged: "
-            f"{left!r} != {right!r}"
-        )
 
 
 def straggler_sim(nodes=8, groups=2, slow=(3, 6), factor=30.0):
@@ -94,21 +58,19 @@ def straggler_sim(nodes=8, groups=2, slow=(3, 6), factor=30.0):
     return sim, compute
 
 
+def plan_of(sim):
+    return record_schedule(sim.topology, sim.update_bytes)
+
+
 class TestQuorumReplayDifferential:
-    @given(clusters(), quorum_rules)
-    @settings(max_examples=25, deadline=None)
-    def test_replay_bit_identical_to_event_driven(self, cluster, rule):
-        sim, compute = cluster
-        event = sim._iteration_uncached(rule, list(compute))
-        trace = record_schedule(sim)
-        vectorized = replay_iteration(
-            trace, sim.spec, list(compute), vectorized=True, quorum=rule
-        )
-        scalar = replay_iteration(
-            trace, sim.spec, list(compute), vectorized=False, quorum=rule
-        )
-        assert_bit_identical(event, vectorized, "event vs vectorized")
-        assert_bit_identical(event, scalar, "event vs scalar")
+    def test_replay_bit_identical_to_event_driven(self):
+        """Every quorum golden case (captured from the per-chunk
+        event-driven simulator) is reproduced by the module API."""
+        windowed = [label for label, case in CASES.items() if case[2]]
+        assert windowed
+        for label in windowed:
+            timing, golden = replay_golden_case(label)
+            assert timing_reprs(timing) == golden, label
 
     @given(
         clusters(),
@@ -116,19 +78,25 @@ class TestQuorumReplayDifferential:
         st.integers(min_value=1, max_value=50_000),
     )
     @settings(max_examples=10, deadline=None)
-    def test_public_iteration_agrees_with_replay_off(
-        self, cluster, rule, batch
-    ):
-        """End-to-end: ``iteration(quorum=...)`` with the replay engine
-        active returns exactly what the full simulation returns with the
-        ``REPRO_SCHEDULE_REPLAY=0`` kill switch thrown."""
-        sim, _ = cluster
-        with replay_disabled(), cache_disabled():
-            event = sim.iteration(batch, quorum=rule)
+    def test_public_iteration_agrees_with_replay(self, cluster, rule, batch):
+        """End-to-end: ``iteration(quorum=...)``, on a memo miss and on
+        the hit after it, returns exactly what the engine returns when
+        called directly."""
+        sim, compute = cluster
+        direct = replay_iteration(
+            plan_of(sim), sim.spec, list(compute), quorum=rule
+        )
         get_cache().clear()
-        replayed = sim.iteration(batch, quorum=rule)
-        get_cache().clear()
-        assert_bit_identical(event, replayed, "iteration() vs kill switch")
+        try:
+            missed = sim.iteration(batch, quorum=rule)
+            hit = sim.iteration(batch, quorum=rule)
+        finally:
+            get_cache().clear()
+        assert_bit_identical(direct, missed, "iteration() miss vs engine")
+        assert_bit_identical(direct, hit, "iteration() hit vs engine")
+        assert sorted(missed.contributors + missed.dropped) == list(
+            range(sim.topology.nodes)
+        )
 
 
 class TestQuorumWindowEdges:
@@ -136,46 +104,44 @@ class TestQuorumWindowEdges:
         """K=N closes the window at the last arrival regardless of the
         deadline — bit-identical to no quorum at all, nobody dropped."""
         sim, compute = straggler_sim()
-        trace = record_schedule(sim)
-        barrier = replay_iteration(trace, sim.spec, list(compute))
+        plan = plan_of(sim)
+        barrier = replay_iteration(plan, sim.spec, list(compute))
         for deadline in (1e-6, 10.0):
             rule = QuorumConfig(fraction=1.0, deadline_s=deadline)
-            event = sim._iteration_uncached(rule, list(compute))
-            replayed = replay_iteration(
-                trace, sim.spec, list(compute), quorum=rule
+            windowed = replay_iteration(
+                plan, sim.spec, list(compute), quorum=rule
             )
-            assert_bit_identical(event, replayed, f"deadline={deadline}")
-            assert_bit_identical(barrier, replayed, "vs barrier")
-            assert replayed.dropped == []
+            assert_bit_identical(barrier, windowed, f"deadline={deadline}")
+            assert windowed.dropped == []
 
     def test_tiny_deadline_drops_all_but_quorum(self):
         """drop-all-but-K: with K=1 per window and a deadline far under
         the straggler gap, only the window openers survive."""
-        sim, compute = straggler_sim(slow=(1, 2, 3, 5, 6, 7), factor=100.0)
+        slow = (1, 2, 3, 5, 6, 7)
+        sim, compute = straggler_sim(slow=slow, factor=100.0)
         rule = QuorumConfig(fraction=0.2, deadline_s=1e-4)
-        event = sim._iteration_uncached(rule, list(compute))
-        trace = record_schedule(sim)
-        replayed = replay_iteration(
-            trace, sim.spec, list(compute), quorum=rule
+        windowed = replay_iteration(
+            plan_of(sim), sim.spec, list(compute), quorum=rule
         )
-        assert_bit_identical(event, replayed, "drop-all-but-K")
-        assert len(replayed.dropped) > 0
+        barrier = replay_iteration(plan_of(sim), sim.spec, list(compute))
+        assert len(windowed.dropped) > 0
+        assert windowed.total_s < barrier.total_s
         # The master opens its own window, so it always survives; a slow
         # delta can only be dropped, never promoted.
         master = sim.topology.master.node_id
-        assert master in replayed.contributors
-        assert master not in (1, 2, 3, 5, 6, 7)
+        assert master in windowed.contributors
+        assert master not in slow
 
     def test_deadline_landing_exactly_on_an_arrival(self, monkeypatch):
         """The tie case: a deadline that expires at the very instant a
-        partial finishes. The window rule includes ties (``<= close``),
-        and replay must resolve the tie the same way event-driven does.
+        partial finishes. The window rule includes ties (``<= close``).
 
         The exact arrival times are recovered from a capture run through
-        ``_close_window`` (shared by both engines), then each observed
-        gap is fed back as ``deadline_s`` so the close lands exactly on
-        a later contributor's arrival."""
+        ``_close_window``, then each observed gap is fed back as
+        ``deadline_s`` so the close lands exactly on a later
+        contributor's arrival."""
         sim, compute = straggler_sim(slow=(3,), factor=20.0)
+        plan = plan_of(sim)
         captured = []
         real = cluster_mod._close_window
 
@@ -184,8 +150,11 @@ class TestQuorumWindowEdges:
             return real(contributions, quorum)
 
         monkeypatch.setattr(cluster_mod, "_close_window", spy)
-        sim._iteration_uncached(
-            QuorumConfig(fraction=1.0, deadline_s=10.0), list(compute)
+        replay_iteration(
+            plan,
+            sim.spec,
+            list(compute),
+            quorum=QuorumConfig(fraction=1.0, deadline_s=10.0),
         )
         monkeypatch.setattr(cluster_mod, "_close_window", real)
 
@@ -194,30 +163,31 @@ class TestQuorumWindowEdges:
         gaps = [t - times[0] for t in times[1:] if t > times[0]]
         assert gaps, "degenerate capture: every contribution tied"
 
-        trace = record_schedule(sim)
         for gap in gaps:
             rule = QuorumConfig(fraction=0.01, deadline_s=gap)
-            event = sim._iteration_uncached(rule, list(compute))
-            replayed = replay_iteration(
-                trace, sim.spec, list(compute), quorum=rule
+            windowed = replay_iteration(
+                plan, sim.spec, list(compute), quorum=rule
             )
-            assert_bit_identical(event, replayed, f"deadline={gap!r}")
             # the tied arrival itself must be included, not dropped
             tied = [n for n, t in window if t == times[0] + gap]
-            assert set(tied) <= set(replayed.contributors)
+            assert tied
+            assert set(tied) <= set(windowed.contributors)
 
     def test_memoized_quorum_iterations_stay_distinct(self):
         """The iteration memo key carries the quorum rule: two different
         windows on the same cluster never collide, and a repeat of the
         same window is served from the memo unchanged."""
-        get_cache().clear()
         sim, _ = straggler_sim()
-        tight = QuorumConfig(fraction=0.5, deadline_s=1e-4)
-        loose = QuorumConfig(fraction=1.0, deadline_s=10.0)
-        first = sim.iteration(8_000, quorum=tight)
-        again = sim.iteration(8_000, quorum=tight)
-        barrier = sim.iteration(8_000, quorum=loose)
+        get_cache().clear()
+        try:
+            tight = QuorumConfig(fraction=0.5, deadline_s=1e-4)
+            loose = QuorumConfig(fraction=1.0, deadline_s=10.0)
+            first = sim.iteration(8_000, quorum=tight)
+            again = sim.iteration(8_000, quorum=tight)
+            barrier = sim.iteration(8_000, quorum=loose)
+            assert get_cache().stats.hits == 1
+        finally:
+            get_cache().clear()
         assert_bit_identical(first, again, "memo round-trip")
         assert first.total_s < barrier.total_s
         assert first.dropped and not barrier.dropped
-        get_cache().clear()

@@ -1,14 +1,18 @@
-"""Differential property suite for the schedule-replay engine.
+"""Property suite for the timing engine's module API, barrier windows.
 
-The contract under test: for any healthy, quorum-less cluster, replaying
-a recorded :class:`ScheduleTrace` is *bit-identical* to re-running the
-full event-driven simulation — every float of every
-:class:`IterationTiming` field, compared with ``==``, no tolerances. The
-vectorized (NumPy) replayer and the pure-scalar reference replayer must
-agree with each other the same way.
+``record_schedule`` builds a send plan from the topology and
+``replay_iteration`` times it; ``ClusterSimulator.iteration`` is the
+memoized public path over the same two functions. The contracts under
+test, every :class:`IterationTiming` field compared with ``==``:
+
+* the engine reproduces the timings the per-chunk event-driven
+  simulator produced, as captured in ``tests/runtime/golden_iterations.json``;
+* one plan retimes any compute profile: the plan holds no timing;
+* the public path agrees with calling the two functions directly.
 """
 
 import dataclasses
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,9 +24,9 @@ from repro.runtime import (
     IterationTiming,
     NetworkConfig,
     record_schedule,
-    replay_disabled,
     replay_iteration,
 )
+from tests.runtime.test_golden_iterations import CASES, GOLDEN, timing_reprs
 
 # Sampled (not continuous) parameters keep every example on a realistic
 # operating point while still crossing the interesting structural
@@ -72,45 +76,71 @@ def assert_bit_identical(a: IterationTiming, b: IterationTiming, label: str):
         )
 
 
+def replay_golden_case(label):
+    """Time a golden case through the module API, bypassing the
+    simulator; returns the timing and the case's golden field reprs."""
+    factory, batch, rule = CASES[label]
+    sim = factory()
+    quorum = rule(sim) if rule is not None else None
+    per_node = max(1, batch // sim.topology.nodes)
+    compute = [
+        sim._compute_seconds(role.node_id, per_node)
+        for role in sim.topology.roles
+    ]
+    plan = record_schedule(sim.topology, sim.update_bytes)
+    timing = replay_iteration(plan, sim.spec, compute, quorum=quorum)
+    return timing, json.loads(GOLDEN.read_text())[label]
+
+
+def sim_with(sim, compute):
+    """``sim``'s cluster with a different compute profile."""
+    return ClusterSimulator(
+        sim.spec,
+        lambda node_id, samples: compute[node_id],
+        update_bytes=sim.update_bytes,
+    )
+
+
 class TestReplayDifferential:
-    @given(clusters())
-    @settings(max_examples=25, deadline=None)
-    def test_replay_bit_identical_to_event_driven(self, cluster):
-        sim, compute = cluster
-        event = sim._iteration_uncached(None, list(compute))
-        trace = record_schedule(sim)
-        vectorized = replay_iteration(
-            trace, sim.spec, list(compute), vectorized=True
-        )
-        scalar = replay_iteration(
-            trace, sim.spec, list(compute), vectorized=False
-        )
-        assert_bit_identical(event, vectorized, "event vs vectorized")
-        assert_bit_identical(event, scalar, "event vs scalar")
+    def test_replay_bit_identical_to_event_driven(self):
+        """Every barrier golden case (captured from the per-chunk
+        event-driven simulator) is reproduced by the module API."""
+        barrier = [label for label, case in CASES.items() if case[2] is None]
+        assert barrier
+        for label in barrier:
+            timing, golden = replay_golden_case(label)
+            assert timing_reprs(timing) == golden, label
 
     @given(clusters())
     @settings(max_examples=10, deadline=None)
     def test_one_trace_retimes_any_compute_profile(self, cluster):
-        """The trace is canonical: recorded once (with zero compute), it
-        replays bit-identically under compute profiles it never saw."""
+        """The plan is canonical: built once, it times compute profiles
+        it never saw exactly as a simulator built for each would."""
         sim, compute = cluster
-        trace = record_schedule(sim)
+        plan = record_schedule(sim.topology, sim.update_bytes)
         for scale in (0.0, 1.0, 3.5):
             times = [t * scale for t in compute]
-            event = sim._iteration_uncached(None, list(times))
-            replayed = replay_iteration(trace, sim.spec, list(times))
-            assert_bit_identical(event, replayed, f"scale={scale}")
+            other = sim_with(sim, times)
+            assert record_schedule(other.topology, other.update_bytes) == plan
+            with cache_disabled():
+                fresh = other.iteration(1_000)
+            replayed = replay_iteration(plan, sim.spec, list(times))
+            assert_bit_identical(fresh, replayed, f"scale={scale}")
 
     @given(clusters(), st.integers(min_value=1, max_value=50_000))
     @settings(max_examples=10, deadline=None)
-    def test_public_iteration_agrees_with_replay_off(self, cluster, batch):
-        """End-to-end: ``iteration()`` with the replay engine active
-        returns exactly what the full simulation returns with the
-        ``REPRO_SCHEDULE_REPLAY=0`` kill switch thrown."""
-        sim, _ = cluster
-        with replay_disabled(), cache_disabled():
-            event = sim.iteration(batch)
+    def test_public_iteration_agrees_with_replay(self, cluster, batch):
+        """End-to-end: ``iteration()``, on a memo miss and on the hit
+        after it, returns exactly what the engine returns when called
+        directly."""
+        sim, compute = cluster
+        plan = record_schedule(sim.topology, sim.update_bytes)
+        direct = replay_iteration(plan, sim.spec, list(compute))
         get_cache().clear()
-        replayed = sim.iteration(batch)
-        get_cache().clear()
-        assert_bit_identical(event, replayed, "iteration() vs kill switch")
+        try:
+            missed = sim.iteration(batch)
+            hit = sim.iteration(batch)
+        finally:
+            get_cache().clear()
+        assert_bit_identical(direct, missed, "iteration() miss vs engine")
+        assert_bit_identical(direct, hit, "iteration() hit vs engine")

@@ -129,10 +129,21 @@ class TestChaosTrainInterplay:
         assert result.iterations > 0
         assert iteration_keys() == []
 
-    def test_healthy_chaos_run_uses_memo(self):
+    def test_healthy_chaos_run_may_replay(self, monkeypatch):
         """An empty timeline is no fault context; the healthy chaos run
-        goes through the iteration memo."""
+        goes through the iteration memo, and its misses through the
+        timing engine."""
+        import repro.runtime.schedule as schedule_mod
+
+        calls = []
+        real = schedule_mod.replay_iteration
+        monkeypatch.setattr(
+            schedule_mod,
+            "replay_iteration",
+            lambda *a, **k: calls.append(1) or real(*a, **k),
+        )
         get_cache().clear()
         result = self._run(FaultTimeline())
         assert result.iterations > 0
         assert len(iteration_keys()) >= 1
+        assert len(calls) == len(iteration_keys())

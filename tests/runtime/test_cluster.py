@@ -120,32 +120,6 @@ class TestIterationTiming:
         with pytest.raises(ValueError):
             ClusterSimulator(ClusterSpec(nodes=2), lambda n, s: 0.0, 0)
 
-    def test_memoized_quorum_iterations_stay_distinct(self):
-        """The iteration memo key carries the quorum rule: two different
-        windows on the same cluster never collide, and a repeat of the
-        same window is served from the memo unchanged."""
-        from repro.perf.cache import get_cache
-
-        compute = [1e-3 * (30.0 if n in (3, 6) else 1.0) for n in range(8)]
-        sim = ClusterSimulator(
-            ClusterSpec(nodes=8, groups=2),
-            lambda node_id, samples: compute[node_id],
-            update_bytes=100_000,
-        )
-        get_cache().clear()
-        try:
-            tight = QuorumConfig(fraction=0.5, deadline_s=1e-4)
-            loose = QuorumConfig(fraction=1.0, deadline_s=10.0)
-            first = sim.iteration(8_000, quorum=tight)
-            again = sim.iteration(8_000, quorum=tight)
-            barrier = sim.iteration(8_000, quorum=loose)
-            assert get_cache().stats.hits == 1
-        finally:
-            get_cache().clear()
-        assert first == again
-        assert first.total_s < barrier.total_s
-        assert first.dropped and not barrier.dropped
-
 
 class TestEpoch:
     def test_epoch_is_iterations_times_iteration(self):
