@@ -3,6 +3,8 @@
 import pytest
 
 from repro.dfg import CONST, DATA, MODEL, Dfg
+from repro.dfg.ops import op_info
+from repro.ml.benchmarks import BENCHMARKS
 
 
 def small_graph():
@@ -85,6 +87,27 @@ class TestQueries:
         dfg, _ = small_graph()
         # prod feeds only a reduce; total feeds the gradient add.
         assert dfg.live_interim_words() == 1
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["paper", "scaled"])
+    @pytest.mark.parametrize("name", [b.name for b in BENCHMARKS])
+    def test_live_interim_matches_consumer_scan(self, name, scaled):
+        """The one-pass count equals the definition: a non-gradient
+        interim is buffered unless every one of its consumers (found by
+        ``consumers()``) is a reduction or an identity."""
+        bench = next(b for b in BENCHMARKS if b.name == name)
+        dfg = bench.translate(scaled=scaled).dfg
+        expect = 0
+        for node in dfg.topo_order():
+            out = dfg.values[node.output]
+            if out.is_gradient:
+                continue
+            consumers = dfg.consumers(out)
+            if consumers and all(
+                op_info(c.op).reduce or c.op == "identity" for c in consumers
+            ):
+                continue
+            expect += dfg.size(out)
+        assert dfg.live_interim_words() == expect
 
     def test_uses_nonlinear(self):
         dfg, _ = small_graph()

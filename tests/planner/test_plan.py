@@ -5,6 +5,7 @@ import pytest
 from repro.dfg import translate
 from repro.dsl import parse
 from repro.hw import PASIC_F, PASIC_G, XILINX_VU9P
+from repro.perf.cache import cache_disabled
 from repro.planner import DesignPoint, Planner
 
 LINREG = """
@@ -133,6 +134,30 @@ class TestPlanSelection:
         assert asic.samples_per_second == pytest.approx(
             fpga.samples_per_second, rel=0.25
         )
+
+
+class TestEvaluateCalls:
+    """The DSE evaluates every design point exactly once, in order,
+    through ``Planner.evaluate`` (where the layer tracer counts points)."""
+
+    @pytest.mark.parametrize(
+        "chip", [XILINX_VU9P, PASIC_G], ids=["vu9p", "pasic-g"]
+    )
+    @pytest.mark.parametrize("method", ["plan", "sweep"])
+    def test_one_evaluate_per_design_point(self, monkeypatch, chip, method):
+        seen = []
+        original = Planner.evaluate
+
+        def spy(self, dfg, point, *args, **kwargs):
+            seen.append(point)
+            return original(self, dfg, point, *args, **kwargs)
+
+        monkeypatch.setattr(Planner, "evaluate", spy)
+        planner = Planner(chip)
+        dfg = mlp()
+        with cache_disabled():
+            getattr(planner, method)(dfg, 10_000)
+        assert seen == planner.design_space(dfg, 10_000)
 
 
 class TestTiming:
