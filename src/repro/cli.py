@@ -193,6 +193,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     _check_cluster_args(parser, args)
     command = args.command
+    if command in ("plan", "rtl", "train", "chaos"):
+        from .ml import benchmark_names
+
+        names = benchmark_names()
+        if args.benchmark not in names:
+            print(
+                f"unknown benchmark {args.benchmark!r}; choose from "
+                f"{', '.join(names)}",
+                file=sys.stderr,
+            )
+            return 2
     if command == "benchmarks":
         return _cmd_benchmarks()
     if command == "experiment":

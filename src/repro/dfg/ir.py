@@ -206,20 +206,31 @@ class Dfg:
         tree-bus ALUs and never materialised; gradient outputs are written
         back over the thread's model replica (the local SGD update).
         """
+        # value id -> True while every consumer seen so far streams it
+        # into a reduction or merely renames/permutes it (identity
+        # aliases the same buffer); one pass over the operands.
+        streamed: Dict[int, bool] = {}
+        for node in self.topo_order():
+            folds = op_info(node.op).reduce or node.op == "identity"
+            for vid in node.inputs:
+                streamed[vid] = streamed.get(vid, True) and folds
         words = 0
         for node in self.topo_order():
             out = self.values[node.output]
-            if out.is_gradient:
-                continue
-            consumers = self.consumers(out)
-            if consumers and all(
-                op_info(c.op).reduce or c.op == "identity" for c in consumers
-            ):
-                # Streamed into a reduction, or merely renamed/permuted
-                # (identity aliases the same buffer).
+            if out.is_gradient or streamed.get(out.vid, False):
                 continue
             words += self.size(out)
         return words
+
+    def thread_storage_words(self) -> int:
+        """Words of on-chip buffers one worker thread needs: its model
+        replica (updated in place by the local SGD step of Eq. 3a), live
+        interim values, and a double-buffered training sample."""
+        return (
+            self.model_words()
+            + self.live_interim_words()
+            + 2 * self.data_words()
+        )
 
     def uses_nonlinear(self) -> bool:
         """True if any scheduled op needs the non-linear LUT unit."""

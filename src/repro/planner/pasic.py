@@ -98,10 +98,9 @@ def buffer_bytes_for(
     reference_pes = 768
     worst = DEFAULT_BUFFER_BYTES
     for dfg in dfgs:
-        words = (
-            dfg.model_words() + dfg.live_interim_words() + 2 * dfg.data_words()
+        per_pe = math.ceil(
+            dfg.thread_storage_words() * word_bytes / reference_pes
         )
-        per_pe = math.ceil(words * word_bytes / reference_pes)
         worst = max(worst, per_pe)
     return 1 << math.ceil(math.log2(worst))
 

@@ -20,8 +20,8 @@ from ..hw.spec import ChipSpec
 from .estimator import (
     CostParams,
     ThreadEstimate,
+    cost_profile,
     effective_data_words,
-    estimate_thread_cycles,
 )
 
 #: Fraction of on-chip storage available to thread buffers; the rest is
@@ -185,21 +185,15 @@ class AcceleratorPlan:
 class Planner:
     """Design-space exploration for one DFG on one chip.
 
-    ``executor`` (a :class:`repro.perf.parallel.SweepExecutor`) fans the
-    design-point evaluations out; ``None`` keeps the serial reference
-    path. Either way the chosen plan is identical — selection folds over
-    the points in enumeration order.
+    Everything the estimator reads from the DFG is derived once per graph
+    (its :func:`~repro.planner.estimator.cost_profile`, memoized on the
+    graph), so each design point costs one pass over the profile's node
+    list. Selection folds over the points in enumeration order.
     """
 
-    def __init__(
-        self,
-        chip: ChipSpec,
-        params: CostParams = CostParams(),
-        executor=None,
-    ):
+    def __init__(self, chip: ChipSpec, params: CostParams = CostParams()):
         self._chip = chip
         self._params = params
-        self._executor = executor
 
     @property
     def chip(self) -> ChipSpec:
@@ -207,18 +201,9 @@ class Planner:
 
     # -- bounds ---------------------------------------------------------
     def storage_per_thread(self, dfg: ir.Dfg) -> int:
-        """Bytes of on-chip buffers one worker thread needs.
-
-        Each thread keeps its model replica (gradient updates are applied
-        in place per the local-SGD flow of Eq. 3a), live intermediate
-        values, and a double-buffered training sample (prefetch).
-        """
-        words = (
-            dfg.model_words()
-            + dfg.live_interim_words()
-            + 2 * dfg.data_words()
-        )
-        return words * self._chip.word_bytes
+        """Bytes of on-chip buffers one worker thread needs
+        (``Dfg.thread_storage_words``)."""
+        return cost_profile(dfg).storage_words * self._chip.word_bytes
 
     def max_threads(self, dfg: ir.Dfg, minibatch: int) -> int:
         """``t_max = min(#BRAMs*BRAMsize / DFG.storage(), row_max, b)``."""
@@ -276,12 +261,9 @@ class Planner:
         overrides the per-sample stream size (e.g. Table 1's on-disk
         record sizes).
         """
-        estimate = estimate_thread_cycles(
-            dfg,
-            point.pes_per_thread,
-            point.rows_per_thread,
-            self._params,
-            density=None,
+        profile = cost_profile(dfg)
+        estimate = profile.estimate(
+            point.pes_per_thread, point.rows_per_thread, self._params
         )
         if stream_words is None:
             stream_words = effective_data_words(dfg, density)
@@ -290,8 +272,8 @@ class Planner:
             design=point,
             thread_estimate=estimate,
             data_words_per_sample=stream_words,
-            model_words=dfg.model_words(),
-            gradient_words=dfg.gradient_words(),
+            model_words=profile.model_words,
+            gradient_words=profile.gradient_words,
             minibatch=minibatch,
             storage_per_thread_bytes=self.storage_per_thread(dfg),
             params=self._params,
@@ -329,10 +311,15 @@ class Planner:
         density: Optional[Mapping[str, float]],
         stream_words: Optional[float],
     ) -> AcceleratorPlan:
+        points = self.design_space(dfg, minibatch)
         best: Optional[AcceleratorPlan] = None
-        for plan in self._evaluate_all(dfg, minibatch, density, stream_words):
-            if best is None or _better(plan, best, minibatch):
-                best = plan
+        best_s = 0.0
+        for plan in self._evaluate_all(
+            dfg, minibatch, density, stream_words, points
+        ):
+            seconds = plan.seconds_for(minibatch)
+            if best is None or _better(plan, seconds, best, best_s):
+                best, best_s = plan, seconds
         assert best is not None
         return best
 
@@ -378,25 +365,23 @@ class Planner:
         minibatch: int,
         density: Optional[Mapping[str, float]],
         stream_words: Optional[float],
-        points: Optional[List[DesignPoint]] = None,
+        points: List[DesignPoint],
     ) -> List[AcceleratorPlan]:
-        """All design points, in enumeration order, optionally parallel."""
-        if points is None:
-            points = self.design_space(dfg, minibatch)
-
-        def evaluate(point: DesignPoint) -> AcceleratorPlan:
-            return self.evaluate(dfg, point, minibatch, density, stream_words)
-
-        if self._executor is None:
-            return [evaluate(p) for p in points]
-        return self._executor.map(evaluate, points)
+        """``points`` evaluated in order; the stream size is derived once."""
+        if stream_words is None:
+            stream_words = effective_data_words(dfg, density)
+        return [
+            self.evaluate(dfg, p, minibatch, density, stream_words)
+            for p in points
+        ]
 
 
-def _better(a: AcceleratorPlan, b: AcceleratorPlan, minibatch: int) -> bool:
-    """Faster wins; within 1% the smaller design wins (FPGA only keeps the
-    needed fabric powered, P-ASIC saves area)."""
-    ta = a.seconds_for(minibatch)
-    tb = b.seconds_for(minibatch)
+def _better(
+    a: AcceleratorPlan, ta: float, b: AcceleratorPlan, tb: float
+) -> bool:
+    """Is ``a`` (taking ``ta`` seconds) better than ``b`` (``tb``)? Faster
+    wins; within 1% the smaller design wins (FPGA only keeps the needed
+    fabric powered, P-ASIC saves area)."""
     if ta < 0.99 * tb:
         return True
     if tb < 0.99 * ta:

@@ -167,6 +167,10 @@ class ClusterSimulator:
         # (topology, send plan) of the last memo miss; the plan depends
         # on nothing else, so later minibatches reuse it.
         self._plan = None
+        # (topology, fingerprint of its roles) for the memo key, kept the
+        # same way: canonicalizing every NodeRole was most of the cost of
+        # a large cluster's key when done on each call.
+        self._roles_key = None
 
     def with_topology(self, topology: Topology) -> "ClusterSimulator":
         """The same cluster model over a re-formed hierarchy."""
@@ -212,10 +216,12 @@ class ClusterSimulator:
         cache = get_cache()
         if self.faults or not cache.enabled:
             return self._simulate(quorum, compute_times)
+        if self._roles_key is None or self._roles_key[0] is not topo:
+            self._roles_key = (topo, fingerprint(topo.roles))
         key = fingerprint(
             "iteration",
             self.spec,
-            topo.roles,
+            self._roles_key[1],
             self.update_bytes,
             quorum,
             compute_times,

@@ -51,10 +51,6 @@ class TestPlanCommand:
         assert main(["plan", "stock", "--chip", "pasic-g"]) == 0
         assert "P-ASIC-G" in capsys.readouterr().out
 
-    def test_unknown_benchmark_raises(self):
-        with pytest.raises(KeyError):
-            main(["plan", "bert"])
-
 
 class TestRtlCommand:
     def test_emits_verilog(self, capsys):
@@ -116,6 +112,17 @@ class TestChaosCommand:
         with pytest.raises(SystemExit):
             main(["chaos", "stock", "--scenario", "alien-invasion"])
         assert "invalid choice" in capsys.readouterr().err
+
+
+class TestUnknownBenchmark:
+    @pytest.mark.parametrize("command", ["plan", "rtl", "train", "chaos"])
+    def test_exits_2_listing_known_names(self, capsys, command):
+        assert main([command, "nosuch"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown benchmark 'nosuch'" in captured.err
+        for name in ("mnist", "movielens", "cancer2"):
+            assert name in captured.err
 
 
 class TestBadCounts:
