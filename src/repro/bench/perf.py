@@ -5,7 +5,8 @@
 
 * **Stage timings** — translate / plan / compile / simulate / epoch per
   benchmark, each measured with the artifact cache bypassed so the
-  numbers track the *work*, not the cache.
+  numbers track the *work*, not the cache — plus ``plan_points``, the
+  number of design points the timed ``plan`` evaluates.
 * **Figure-sweep comparison** — a full Figure 7 + Figure 16 regeneration
   three ways: the serial uncached reference path, a cold-cache run (the
   first regeneration in a process), and a warm-cache run (the
@@ -22,7 +23,8 @@ With ``--tier1``, the harness also times the tier-1 test suite in a
 child process (``tier1_wall_s``).
 
 Comparing a run against a committed baseline flags any stage that got
-more than ``tolerance`` times slower (and a warm-sweep speedup that
+more than ``tolerance`` times slower, any work counter that differs
+from the baseline at all (and a warm-sweep speedup that
 collapsed, or a tier-1 suite that slowed down), so CI catches perf
 regressions the functional suite cannot.
 """
@@ -49,6 +51,11 @@ QUICK_BENCHES = ("stock", "movielens", "mnist")
 #: Timings below this floor are noise on any machine; the comparator
 #: never flags a stage whose baseline is under it.
 FLOOR_SECONDS = 0.005
+
+#: Exact work counters recorded beside each benchmark's stage timings.
+#: They are host-independent, so the comparator gates them for equality
+#: rather than against the timing tolerance and floor.
+COUNTERS = ("plan_points",)
 
 #: The warm-cache sweep must stay at least this much faster than the
 #: serial uncached path (the headline acceptance number is recorded in
@@ -126,7 +133,8 @@ def measure_stages(
     full design-space exploration; ``compile`` scalarises, maps, and
     schedules; ``simulate`` runs the vectorized MIMD timing model over a
     10k-sample mini-batch; ``epoch`` times a 16-node epoch on the cluster
-    timing engine.
+    timing engine. ``plan_points`` counts the ``Planner.evaluate`` calls
+    of one timed ``plan``.
     """
     from ..core.stack import CosmicStack
     from ..core.system import CosmicSystem, platform_for
@@ -151,15 +159,23 @@ def measure_stages(
         system = CosmicSystem(
             bench, platform_for(bench, "fpga"), nodes=16
         )
+        calls: List[tuple] = []
+
+        def plan_stage():
+            planner = Planner(XILINX_VU9P)
+            evaluate = planner.evaluate
+
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return evaluate(*args, **kwargs)
+
+            planner.evaluate = counted
+            planner.plan(translation.dfg, 10_000, bench.density)
+
         with cache_disabled():
             timings = {
                 "translate": _timeit(bench.translate, repeats),
-                "plan": _timeit(
-                    lambda: Planner(XILINX_VU9P).plan(
-                        translation.dfg, 10_000, bench.density
-                    ),
-                    repeats,
-                ),
+                "plan": _timeit(plan_stage, repeats),
                 "compile": _timeit(
                     lambda: stack.compile(rows=2, columns=4), repeats
                 ),
@@ -169,6 +185,7 @@ def measure_stages(
                 "epoch": _timeit(lambda: system.epoch_seconds(), repeats),
             }
         out[bench.name] = {k: round(v, 6) for k, v in timings.items()}
+        out[bench.name]["plan_points"] = len(calls) // repeats
     return out
 
 
@@ -364,22 +381,32 @@ def compare_to_baseline(
 
     A stage regresses when it is ``tolerance`` times slower than the
     baseline *and* the baseline is above the noise floor; so does the
-    tier-1 wall time, when both runs measured it. The warm-sweep
-    speedup regresses when it falls below half the acceptance threshold
-    (machines differ; collapsing to ~1x means the cache stopped working).
+    tier-1 wall time, when both runs measured it. A work counter
+    (:data:`COUNTERS`) regresses when it differs from the baseline at
+    all; a baseline written before the counter existed is not checked.
+    The warm-sweep speedup regresses when it falls below half the
+    acceptance threshold (machines differ; collapsing to ~1x means the
+    cache stopped working).
     """
     problems: List[str] = []
     for bench, stages in current.stages.items():
         base_stages = baseline.stages.get(bench)
         if base_stages is None:
             continue
-        for stage, seconds in stages.items():
+        for stage, value in stages.items():
             base = base_stages.get(stage)
+            if base is not None and stage in COUNTERS:
+                if value != base:
+                    problems.append(
+                        f"{bench}/{stage}: {value} vs baseline {base} "
+                        f"(work counters must match exactly)"
+                    )
+                continue
             if base is None or base < FLOOR_SECONDS:
                 continue
-            if seconds > base * tolerance:
+            if value > base * tolerance:
                 problems.append(
-                    f"{bench}/{stage}: {seconds:.4f}s vs baseline "
+                    f"{bench}/{stage}: {value:.4f}s vs baseline "
                     f"{base:.4f}s (>{tolerance:g}x)"
                 )
     warm = current.sweep.get("warm_speedup", 0.0)
@@ -407,13 +434,18 @@ def compare_to_baseline(
 def render_report(report: PerfReport) -> str:
     """Human-readable table of the payload."""
     lines = ["== perf: toolchain stage timings (seconds, cache bypassed) =="]
-    header = "bench".ljust(12) + "".join(s.rjust(11) for s in STAGES)
+    header = (
+        "bench".ljust(12)
+        + "".join(s.rjust(11) for s in STAGES)
+        + "plan_points".rjust(13)
+    )
     lines.append(header)
     lines.append("-" * len(header))
     for bench, stages in report.stages.items():
         lines.append(
             bench.ljust(12)
             + "".join(f"{stages.get(s, 0.0):11.4f}" for s in STAGES)
+            + str(stages.get("plan_points", "-")).rjust(13)
         )
     sweep = report.sweep
     lines.append("")

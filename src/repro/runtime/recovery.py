@@ -52,7 +52,13 @@ from .director import (
 )
 from .faults import FaultTimeline
 from .network import RetryPolicy
-from .trainer import DistributedTrainer, Feeds, LossFn, _sample_count
+from .trainer import (
+    DistributedTrainer,
+    Feeds,
+    LossFn,
+    _iterations_per_epoch,
+    _sample_count,
+)
 
 
 @dataclass(frozen=True)
@@ -156,12 +162,7 @@ def chaos_train(
     if minibatch_per_worker is None:
         minibatch_per_worker = max(1, translation.minibatch // trainer.workers)
     global_batch = minibatch_per_worker * trainer.workers
-    iters_per_epoch = len(range(0, samples - global_batch + 1, global_batch))
-    if iters_per_epoch == 0:
-        raise ValueError(
-            f"dataset of {samples} samples is smaller than one global "
-            f"mini-batch of {global_batch}"
-        )
+    iters_per_epoch = _iterations_per_epoch(samples, global_batch)
     total_iterations = epochs * iters_per_epoch
     mu = (
         translation.learning_rate

@@ -9,9 +9,14 @@ each iteration would take on the modelled hardware.
 
 Two worker modes:
 
-* ``"minibatch"`` — each worker computes one aggregate gradient over its
-  shard and takes one step (the common distributed mini-batch SGD; fast,
-  vectorised).
+* ``"minibatch"`` — each worker's partial is the mean gradient over its
+  shard, and the aggregate takes one step (the common distributed
+  mini-batch SGD). One batched interpreter call per step evaluates every
+  surviving shard's samples, concatenated in shard order; each partial
+  is the mean over that shard's contiguous slice. Every DFG op works
+  per sample (elementwise, or reducing over the sample's own axes), so a
+  slice of the batched call equals a call on that shard alone bit for
+  bit, and so does its mean: the result is the per-shard evaluation's.
 * ``"local_sgd"`` — each worker runs sequential per-sample SGD over its
   shard and the models are averaged (the literal parallelized SGD of
   Zinkevich et al. that Eq. 3 cites; used by tests for fidelity).
@@ -141,9 +146,7 @@ class DistributedTrainer:
             else learning_rate
         )
         global_batch = minibatch_per_worker * self.workers
-        iters_per_epoch = len(
-            range(0, samples - global_batch + 1, global_batch)
-        )
+        iters_per_epoch = _iterations_per_epoch(samples, global_batch)
 
         start_epoch = 0
         skip_in_epoch = 0
@@ -241,6 +244,8 @@ class DistributedTrainer:
         convergence effects are real rather than modelled. Returns False
         (model untouched) when every shard was dropped or empty.
         """
+        if mode not in ("minibatch", "local_sgd"):
+            raise ValueError(f"unknown mode {mode!r}")
         dropped = set(drop)
         survivors = [
             shard
@@ -251,10 +256,8 @@ class DistributedTrainer:
             return False
         if mode == "minibatch":
             self._step_minibatch(model, feeds, survivors, mu)
-        elif mode == "local_sgd":
-            self._step_local_sgd(model, feeds, survivors, mu)
         else:
-            raise ValueError(f"unknown mode {mode!r}")
+            self._step_local_sgd(model, feeds, survivors, mu)
         return True
 
     # -- worker semantics ---------------------------------------------------
@@ -265,16 +268,19 @@ class DistributedTrainer:
         shards: List[np.ndarray],
         mu: float,
     ):
+        """One batched interpreter call over every (non-empty) shard;
+        each shard's partial is the mean over its contiguous slice."""
         spec = self._translation.aggregator
-        partials: List[Dict[str, np.ndarray]] = []
-        for shard in shards:
-            if len(shard) == 0:
-                continue
-            shard_feeds = {k: v[shard] for k, v in feeds.items()}
-            grads = self._interp.gradients({**shard_feeds, **model}, batch=True)
-            partials.append({k: v.mean(axis=0) for k, v in grads.items()})
+        batch = np.concatenate(shards)
+        grads = self._interp.gradients(
+            {**{k: v[batch] for k, v in feeds.items()}, **model}, batch=True
+        )
+        bounds = np.cumsum([0] + [len(shard) for shard in shards])
+        slices = list(zip(bounds[:-1], bounds[1:]))
         for target, source in spec.pairs:
-            stack = np.stack([p[source] for p in partials])
+            stack = np.stack(
+                [grads[source][lo:hi].mean(axis=0) for lo, hi in slices]
+            )
             agg = stack.mean(axis=0) if spec.kind == "mean" else stack.sum(axis=0)
             model[target] = model[target] - mu * agg
 
@@ -285,12 +291,15 @@ class DistributedTrainer:
         shards: List[np.ndarray],
         mu: float,
     ):
-        """Eq. 3a literally: each worker runs SGD on a model replica."""
+        """Eq. 3a literally: each worker runs SGD on a model replica.
+
+        Stays one interpreter call per sample: each sample's gradient
+        reads the replica its predecessor updated, and batch mode shares
+        MODEL inputs across the whole batch.
+        """
         spec = self._translation.aggregator
         replicas: List[Dict[str, np.ndarray]] = []
         for shard in shards:
-            if len(shard) == 0:
-                continue
             replica = {k: v.copy() for k, v in model.items()}
             for sample in shard:
                 sample_feeds = {k: v[sample] for k, v in feeds.items()}
@@ -304,6 +313,16 @@ class DistributedTrainer:
                 model[name] = stack.mean(axis=0)
             else:
                 model[name] = model[name] + (stack - model[name]).sum(axis=0)
+
+
+def _iterations_per_epoch(samples: int, global_batch: int) -> int:
+    iterations = samples // global_batch
+    if iterations == 0:
+        raise ValueError(
+            f"dataset of {samples} samples is smaller than one global "
+            f"mini-batch of {global_batch}"
+        )
+    return iterations
 
 
 def _sample_count(feeds: Feeds) -> int:

@@ -93,6 +93,19 @@ class TestComparator:
         assert compare_to_baseline(unmeasured, _report()) == []
         assert compare_to_baseline(_report(), unmeasured) == []
 
+    def test_changed_plan_points_flagged(self):
+        """The DSE point count is gated exactly, however fast the plan
+        stage is (every recorded plan stage sits under the floor)."""
+        base = _report(stages={"stock": {"plan": 0.0003, "plan_points": 27}})
+        for points in (26, 28, 54):
+            now = _report(
+                stages={"stock": {"plan": 0.0003, "plan_points": points}}
+            )
+            problems = compare_to_baseline(now, base, tolerance=100.0)
+            assert any("stock/plan_points" in p for p in problems)
+        same = _report(stages={"stock": {"plan": 0.004, "plan_points": 27}})
+        assert compare_to_baseline(same, base) == []
+
     def test_missing_quorum_leg_tolerated(self):
         """Baselines written before the quorum leg existed (and current
         runs without it) must not be flagged for the absence alone."""
@@ -118,6 +131,23 @@ class TestPayloadRoundTrip:
         del payload["quorum_sweep"]
         assert PerfReport.from_dict(payload).quorum == {}
 
+    def test_pre_plan_points_payload_loads(self):
+        """A baseline written before ``plan_points`` existed loads, and
+        neither side is flagged for the counter's absence alone."""
+        payload = _report().to_dict()
+        assert all("plan_points" not in v for v in payload["stages"].values())
+        old = PerfReport.from_dict(json.loads(json.dumps(payload)))
+        now = _report(
+            stages={
+                "stock": {
+                    "translate": 0.01, "plan": 0.02, "compile": 0.03,
+                    "plan_points": 27,
+                }
+            }
+        )
+        assert compare_to_baseline(now, old) == []
+        assert compare_to_baseline(old, now) == []
+
     def test_render_is_textual(self):
         text = render_report(_report())
         assert "stock" in text
@@ -132,8 +162,10 @@ class TestHarness:
         assert set(stages) == {"stock"}
         assert set(stages["stock"]) == {
             "translate", "plan", "compile", "simulate", "epoch",
+            "plan_points",
         }
         assert all(v >= 0 for v in stages["stock"].values())
+        assert stages["stock"]["plan_points"] > 0
 
     def test_figure_sweep_rows_identical(self):
         get_cache().clear()

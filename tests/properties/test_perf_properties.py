@@ -1,12 +1,13 @@
 """Property-based tests for the perf subsystem's determinism contracts.
 
-Three invariants the whole PR rests on:
+Three invariants the perf work rests on:
 
 * caching is invisible — a cached plan/compile equals the uncached one;
 * vectorizing is invisible — the closed-form MIMD batch model equals the
   scalar reference cycle-for-cycle;
-* the interpreter's precompiled execution plans equal the dynamic
-  reference path bit-for-bit.
+* batching is invisible — a slice of one batched interpreter call
+  equals the call on that slice bit for bit, and so does its mean, so
+  the trainer's one-call minibatch step equals one call per shard.
 """
 
 import numpy as np
@@ -14,12 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.stack import CosmicStack
-from repro.dfg import Interpreter
+from repro.dfg import Interpreter, ir
 from repro.hw.accelerator import MimdTimingModel
 from repro.hw.spec import XILINX_VU9P
-from repro.ml.benchmarks import benchmark
+from repro.ml.benchmarks import BENCHMARKS, benchmark
 from repro.perf.cache import cache_disabled, get_cache
 from repro.planner import Planner
+from repro.runtime import DistributedTrainer
 
 SMALL_BENCHES = ("stock", "tumor", "face")
 
@@ -86,29 +88,108 @@ class TestVectorizedMimdModel:
         assert fast == slow
 
 
-class TestInterpreterPlans:
-    @given(
-        name=st.sampled_from(SMALL_BENCHES),
-        seed=st.integers(0, 2**32 - 1),
-        batch=st.integers(1, 8),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_precompiled_matches_reference(self, name, seed, batch):
-        from repro.dfg import ir
+def _seeded_feeds(dfg, rng, batch):
+    feeds = {}
+    for value in dfg.inputs_of_category(ir.DATA):
+        feeds[value.name] = rng.normal(size=(batch, *dfg.shape(value)))
+    for value in dfg.inputs_of_category(ir.MODEL):
+        feeds[value.name] = rng.normal(size=dfg.shape(value))
+    return feeds
 
+
+_INTERPRETERS = {}
+
+
+def _interpreter(name, scale):
+    """One interpreter per benchmark DFG for the whole module."""
+    if (name, scale) not in _INTERPRETERS:
+        dfg = benchmark(name).translate(scaled=scale == "functional").dfg
+        _INTERPRETERS[name, scale] = Interpreter(dfg)
+    return _INTERPRETERS[name, scale]
+
+
+class TestInterpreterBatchSlices:
+    #: Paper-scale intermediates reach (B, 784, 784), so keep B small.
+    MAX_BATCH = {"functional": 64, "paper": 4}
+
+    @given(
+        name=st.sampled_from([b.name for b in BENCHMARKS]),
+        scale=st.sampled_from(("functional", "paper")),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batched_slice_equals_call_on_slice(self, name, scale, seed, data):
+        batch = data.draw(st.integers(1, self.MAX_BATCH[scale]))
+        lo = data.draw(st.integers(0, batch - 1))
+        hi = data.draw(st.integers(lo + 1, batch))
+        interp = _interpreter(name, scale)
+        data_names = {v.name for v in interp.dfg.inputs_of_category(ir.DATA)}
+        feeds = _seeded_feeds(interp.dfg, np.random.default_rng(seed), batch)
+        part_feeds = {
+            k: v[lo:hi] if k in data_names else v for k, v in feeds.items()
+        }
+        with np.errstate(all="ignore"):
+            full = interp.gradients(feeds, batch=True)
+            part = interp.gradients(part_feeds, batch=True)
+            assert full.keys() == part.keys()
+            for key in full:
+                sliced = full[key][lo:hi]
+                assert sliced.shape == part[key].shape
+                assert sliced.tobytes() == part[key].tobytes()
+                assert (
+                    sliced.mean(axis=0).tobytes()
+                    == part[key].mean(axis=0).tobytes()
+                )
+
+
+def _step_per_shard(translation, model, feeds, shards, mu):
+    """The reference the batched minibatch step must match: one
+    interpreter call per shard, each partial that call's mean."""
+    interp = Interpreter(translation.dfg)
+    partials = []
+    for shard in shards:
+        shard_feeds = {k: v[shard] for k, v in feeds.items()}
+        grads = interp.gradients({**shard_feeds, **model}, batch=True)
+        partials.append({k: v.mean(axis=0) for k, v in grads.items()})
+    spec = translation.aggregator
+    for target, source in spec.pairs:
+        stack = np.stack([p[source] for p in partials])
+        agg = stack.mean(axis=0) if spec.kind == "mean" else stack.sum(axis=0)
+        model[target] = model[target] - mu * agg
+
+
+class TestBatchedTrainerStep:
+    @given(
+        name=st.sampled_from([b.name for b in BENCHMARKS]),
+        sizes=st.lists(st.integers(0, 5), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_step_equals_per_shard_loop(self, name, sizes, seed, data):
+        drop = data.draw(st.sets(st.integers(0, len(sizes) - 1)))
         bench = benchmark(name)
-        dfg = bench.translate(scaled=True).dfg
+        translation = bench.translate(scaled=True)
+        feeds = bench.make_dataset(64, seed=seed % 1000).feeds
         rng = np.random.default_rng(seed)
-        feeds = {}
-        for value in dfg.inputs_of_category(ir.DATA):
-            feeds[value.name] = rng.normal(
-                size=(batch, *dfg.shape(value))
-            )
-        for value in dfg.inputs_of_category(ir.MODEL):
-            feeds[value.name] = rng.normal(size=dfg.shape(value))
-        interp = Interpreter(dfg)
-        fast = interp.run(feeds, batch=True)
-        slow = interp.run_reference(feeds, batch=True)
-        assert fast.keys() == slow.keys()
-        for key in fast:
-            np.testing.assert_array_equal(fast[key], slow[key])
+        order = rng.permutation(64)
+        shards = np.split(order[: sum(sizes)], np.cumsum(sizes)[:-1])
+        trainer = DistributedTrainer(translation)
+        model = {
+            k: rng.normal(scale=0.1, size=v.shape)
+            for k, v in trainer.initial_model().items()
+        }
+        expected = {k: v.copy() for k, v in model.items()}
+        survivors = [
+            s for i, s in enumerate(shards) if i not in drop and len(s)
+        ]
+        mu = translation.learning_rate
+        assert trainer.step(model, feeds, shards, mu, drop=drop) == bool(
+            survivors
+        )
+        if survivors:
+            _step_per_shard(translation, expected, feeds, survivors, mu)
+        assert model.keys() == expected.keys()
+        for key in model:
+            assert model[key].tobytes() == expected[key].tobytes()

@@ -5,7 +5,13 @@ import pytest
 
 from repro.dfg import translate
 from repro.dsl import parse
-from repro.runtime import ClusterSimulator, ClusterSpec, DistributedTrainer
+from repro.ml.benchmarks import benchmark
+from repro.runtime import (
+    ClusterSimulator,
+    ClusterSpec,
+    DistributedTrainer,
+    chaos_train,
+)
 
 LINREG = """
 mu = 0.05;
@@ -181,3 +187,83 @@ class TestMechanics:
         t = translate(parse(LINREG), {"n": 8})
         with pytest.raises(ValueError):
             DistributedTrainer(t, nodes=0, threads_per_node=1)
+
+
+class TestBatchedStep:
+    """Minibatch mode evaluates every shard of a step in one call."""
+
+    @pytest.fixture
+    def spied(self, linreg_data, monkeypatch):
+        X, Y, _ = linreg_data
+        trainer = DistributedTrainer(
+            translate(parse(LINREG), {"n": 8}), nodes=4, threads_per_node=2
+        )
+        calls = []
+        real = trainer._interp.gradients
+
+        def spy(feeds, batch=False):
+            calls.append(batch)
+            return real(feeds, batch=batch)
+
+        monkeypatch.setattr(trainer._interp, "gradients", spy)
+        return trainer, trainer.initial_model(), {"x": X, "y": Y}, calls
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 8, 13])
+    def test_one_gradients_call_whatever_the_shard_count(self, spied, count):
+        trainer, model, feeds, calls = spied
+        shards = np.array_split(np.arange(3 * count + 1), count)
+        assert trainer.step(model, feeds, shards, 0.05)
+        assert calls == [True]
+        if count > 1:
+            assert trainer.step(model, feeds, shards, 0.05, drop={0})
+            assert calls == [True, True]
+
+    def test_no_call_when_every_shard_dropped_or_empty(self, spied):
+        trainer, model, feeds, calls = spied
+        shards = np.array_split(np.arange(6), 3)
+        assert not trainer.step(model, feeds, shards, 0.05, drop={0, 1, 2})
+        empty = [np.array([], dtype=int)] * 3
+        assert not trainer.step(model, feeds, empty, 0.05)
+        assert not trainer.step(model, feeds, empty[:1] + shards[1:], 0.05,
+                                drop={1, 2})
+        assert calls == []
+        assert np.all(model["w"] == 0)
+
+
+class TestBadInput:
+    def test_dataset_smaller_than_one_global_minibatch(self):
+        """``train`` raises where it used to run 0 iterations and return
+        a NaN loss; ``chaos_train`` raises the same error."""
+        bench = benchmark("stock")
+        dataset = bench.make_dataset(16)
+        trainer = DistributedTrainer(
+            bench.translate(scaled=True), nodes=2, threads_per_node=2
+        )
+        message = (
+            "dataset of 16 samples is smaller than one global mini-batch "
+            "of 32"
+        )
+        with pytest.raises(ValueError, match=message):
+            trainer.train(dataset.feeds, minibatch_per_worker=8)
+        with pytest.raises(ValueError, match=message):
+            chaos_train(
+                bench.translate(scaled=True),
+                dataset.feeds,
+                ClusterSpec(nodes=2),
+                lambda node, samples: 1e-3,
+                update_bytes=64,
+                threads_per_node=2,
+                minibatch_per_worker=8,
+            )
+
+    def test_step_checks_mode_before_the_all_dropped_return(self):
+        trainer = DistributedTrainer(translate(parse(LINREG), {"n": 8}))
+        feeds = {"x": np.ones((4, 8)), "y": np.ones(4)}
+        shards = np.array_split(np.arange(4), 2)
+        with pytest.raises(ValueError, match="unknown mode 'nosuch'"):
+            trainer.step(
+                trainer.initial_model(), feeds, shards, 0.05,
+                mode="nosuch", drop={0, 1},
+            )
+        with pytest.raises(ValueError, match="unknown mode"):
+            trainer.step(trainer.initial_model(), feeds, [], 0.05, mode="x")
