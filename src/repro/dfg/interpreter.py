@@ -8,7 +8,9 @@ kernel of every simulated accelerator thread.
 
 A leading batch axis lets one call evaluate the DFG for a whole data
 sub-partition at once, mirroring how a worker thread iterates its
-sub-partition ``D_ij`` (Figure 1).
+sub-partition ``D_ij`` (Figure 1). Every op works per sample, so the
+trainer evaluates all workers' sub-partitions of a step in one call and
+slices out each worker's rows.
 """
 
 from __future__ import annotations

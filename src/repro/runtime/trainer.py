@@ -316,6 +316,10 @@ class DistributedTrainer:
 
 
 def _iterations_per_epoch(samples: int, global_batch: int) -> int:
+    if global_batch < 1:
+        raise ValueError(
+            f"global mini-batch must be at least 1 sample, got {global_batch}"
+        )
     iterations = samples // global_batch
     if iterations == 0:
         raise ValueError(

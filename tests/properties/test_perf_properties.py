@@ -10,6 +10,8 @@ Three invariants the perf work rests on:
   the trainer's one-call minibatch step equals one call per shard.
 """
 
+import functools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from repro.ml.benchmarks import BENCHMARKS, benchmark
 from repro.perf.cache import cache_disabled, get_cache
 from repro.planner import Planner
 from repro.runtime import DistributedTrainer
+from tests.dfg.test_golden_interpreter import seeded_feeds
 
 SMALL_BENCHES = ("stock", "tumor", "face")
 
@@ -88,24 +91,11 @@ class TestVectorizedMimdModel:
         assert fast == slow
 
 
-def _seeded_feeds(dfg, rng, batch):
-    feeds = {}
-    for value in dfg.inputs_of_category(ir.DATA):
-        feeds[value.name] = rng.normal(size=(batch, *dfg.shape(value)))
-    for value in dfg.inputs_of_category(ir.MODEL):
-        feeds[value.name] = rng.normal(size=dfg.shape(value))
-    return feeds
-
-
-_INTERPRETERS = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _interpreter(name, scale):
     """One interpreter per benchmark DFG for the whole module."""
-    if (name, scale) not in _INTERPRETERS:
-        dfg = benchmark(name).translate(scaled=scale == "functional").dfg
-        _INTERPRETERS[name, scale] = Interpreter(dfg)
-    return _INTERPRETERS[name, scale]
+    dfg = benchmark(name).translate(scaled=scale == "functional").dfg
+    return Interpreter(dfg)
 
 
 class TestInterpreterBatchSlices:
@@ -125,7 +115,7 @@ class TestInterpreterBatchSlices:
         hi = data.draw(st.integers(lo + 1, batch))
         interp = _interpreter(name, scale)
         data_names = {v.name for v in interp.dfg.inputs_of_category(ir.DATA)}
-        feeds = _seeded_feeds(interp.dfg, np.random.default_rng(seed), batch)
+        feeds = seeded_feeds(interp.dfg, seed, batch)
         part_feeds = {
             k: v[lo:hi] if k in data_names else v for k, v in feeds.items()
         }

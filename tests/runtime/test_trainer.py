@@ -256,6 +256,25 @@ class TestBadInput:
                 minibatch_per_worker=8,
             )
 
+    @pytest.mark.parametrize("per_worker", [0, -1])
+    def test_non_positive_minibatch_rejected(self, per_worker):
+        """0 used to raise a ``range`` error and -1 to return a NaN
+        loss after 0 iterations."""
+        bench = benchmark("stock")
+        dataset = bench.make_dataset(64)
+        trainer = DistributedTrainer(bench.translate(scaled=True), nodes=2)
+        with pytest.raises(ValueError, match="at least 1 sample"):
+            trainer.train(dataset.feeds, minibatch_per_worker=per_worker)
+        with pytest.raises(ValueError, match="at least 1 sample"):
+            chaos_train(
+                bench.translate(scaled=True),
+                dataset.feeds,
+                ClusterSpec(nodes=2),
+                lambda node, samples: 1e-3,
+                update_bytes=64,
+                minibatch_per_worker=per_worker,
+            )
+
     def test_step_checks_mode_before_the_all_dropped_return(self):
         trainer = DistributedTrainer(translate(parse(LINREG), {"n": 8}))
         feeds = {"x": np.ones((4, 8)), "y": np.ones(4)}
